@@ -206,6 +206,7 @@ def cmd_geodesic(args):
     rep.add("iterations", report.iterations)
     rep.add("final_max_update", report.final_max_update)
     rep.add("converged", report.converged)
+    rep.add("stop_reason", report.stop_reason)
     rep.add("n_regular", report.n_regular)
     rep.add("n_singular", report.n_singular)
     rep.add("residual_regular_max", report.residual_regular_max)

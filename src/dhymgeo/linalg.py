@@ -90,13 +90,6 @@ def jproject(N, tol=HERM_TOL):
     return 0.5 * (N + J.T @ N @ J)
 
 
-def is_jinvariant(N, tol=HERM_TOL):
-    N = check_symmetric(N, tol)
-    J = jmatrix(N.shape[0] // 2)
-    scale = max(1.0, float(np.linalg.norm(N)))
-    return float(np.linalg.norm(J.T @ N @ J - N)) <= tol * scale
-
-
 def hermitian_of(N, tol=1e-10):
     """Invert ``iota`` on its image: the Hermitian A1 + i*A2 with iota = given N.
 

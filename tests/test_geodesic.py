@@ -259,7 +259,7 @@ class TestPerronUpdate:
         rng = np.random.default_rng(54)
         U = bars.lower + 0.1 * rng.random((pb.nt,) + geom.grid)
         U[0], U[-1] = phi1, phi2
-        V = _SweepN1(pb).updates(U)
+        V = _SweepN1(pb).updates(U[2:], U[1:-1], U[:-2])
         for _ in range(25):
             it = int(rng.integers(1, pb.nt - 1))
             ix = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
@@ -285,18 +285,23 @@ class TestPerronUpdate:
 
     def test_gauss_seidel_leaves_last_point_admissible(self):
         # just-updated values are admissible against the neighbors they were
-        # computed with; for the lexicographically last interior point those
-        # neighbors are final, so its membership survives the sweep
+        # computed with; for the colour updated last (t rows 2, 4, ..., second
+        # checkerboard colour) those neighbors are final, so membership of
+        # every one of its points survives the sweep
         from dhymgeo.geodesic import _SweepN1, _sweep_gauss_seidel
 
         pb = small_problem()
         bars = build_barriers(pb)
         U = bars.lower.copy()
         U[0], U[-1] = pb.phi1, pb.phi2
-        _sweep_gauss_seidel(_SweepN1(pb), U)
-        it, ix = pb.nt - 2, pb.geom.grid[0] - 1
-        jet = assemble_jet(pb, U, it, (ix,))
-        assert phi_lifted_usc(jet.matrix()).value >= pb.branch.c - 1e-9
+        machine = _SweepN1(pb)
+        _sweep_gauss_seidel(machine, U)
+        last = np.flatnonzero(machine.colours[-1])
+        assert len(last) == pb.geom.grid[0] // 2
+        for it in range(2, pb.nt - 1, 2):
+            for ix in last:
+                jet = assemble_jet(pb, U, it, (ix,))
+                assert phi_lifted_usc(jet.matrix()).value >= pb.branch.c - 1e-9
 
     def test_generic_path_n2_linear_family(self):
         # the bisection path serves n = 2 point updates; on linear-in-t data
@@ -332,6 +337,82 @@ class TestPerronUpdate:
             W[it + dit, (ix + dix) % 16] += 1e-2
             shifts.append(perron_update(pb, W, it, (ix,), bars.lower, bars.upper) - base)
         assert min(shifts) < -1e-8 and max(shifts) > 1e-8
+
+
+def _roll_updates(m, U):
+    """Reference Perron values of every interior point, written with np.roll
+    in the kernel's operation order."""
+    mid = U[1:-1]
+    lam = 0.25 * (np.roll(mid, -1, m.x_axis) + np.roll(mid, 1, m.x_axis)) / (m.hx * m.hx)
+    if m.y_axis is not None:
+        lam += 0.25 * (np.roll(mid, -1, m.y_axis) + np.roll(mid, 1, m.y_axis)) / (m.hy * m.hy)
+    p_lam = m.alpha0 + m.hess_psi + lam
+    udot = (U[2:] - U[:-2]) / (2.0 * m.ht)
+    dx = (np.roll(udot, -1, m.x_axis) - np.roll(udot, 1, m.x_axis)) / (2.0 * m.hx)
+    if m.y_axis is None:
+        b2 = 0.25 * dx * dx
+    else:
+        dy = (np.roll(udot, -1, m.y_axis) - np.roll(udot, 1, m.y_axis)) / (2.0 * m.hy)
+        b2 = 0.25 * (dx * dx + dy * dy)
+    p_udd = (U[2:] + U[:-2]) / (m.ht * m.ht)
+    K = b2 * m.sinc
+    P0 = m.cosc + p_lam * m.sinc
+    q2 = m.a * m.g * m.sinc
+    q1 = -(m.a * P0 + m.g * m.sinc * p_udd)
+    q0 = p_udd * P0 - K
+    s = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
+    r_small_direct = (-q1 - s) / (2.0 * q2)
+    denom = q2 * ((-q1 + s) / (2.0 * q2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_small_prod = q0 / denom
+    stable = (q1 <= 0.0) & (np.abs(denom) > 1e-300)
+    return np.where(stable, r_small_prod, r_small_direct)
+
+
+def full_problem(n=8, nt=7, **kw):
+    geom = TorusGeometry(n=1, grid=(n, n), alpha0=[[3.0]])
+    co = geom.coordinates()
+    phi1 = 0.15 * np.cos(2 * math.pi * co["x1"]) + 0.05 * np.sin(2 * math.pi * co["y1"])
+    phi2 = 0.1 * np.sin(2 * math.pi * co["x1"]) + 0.05
+    kw.setdefault("check_two_init", False)
+    return GeodesicProblem(
+        geom=geom, phi1=phi1, phi2=phi2, branch=Branch(c=math.atan(3.0), n=1), nt=nt, **kw
+    )
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    def test_bitwise_matches_roll_reference(self, make):
+        from dhymgeo.geodesic import _SweepN1
+
+        pb = make()
+        bars = build_barriers(pb)
+        rng = np.random.default_rng(55)
+        U = bars.lower + rng.random((pb.nt,) + pb.geom.grid) * (bars.upper - bars.lower)
+        machine = _SweepN1(pb)
+        new = machine.updates(U[2:], U[1:-1], U[:-2])
+        assert np.array_equal(new, _roll_updates(machine, U))
+
+    @pytest.mark.parametrize("mode", [JACOBI, GAUSS_SEIDEL])
+    def test_sweeps_allocate_no_grid_arrays(self, mode):
+        import tracemalloc
+
+        from dhymgeo.geodesic import _SweepN1, _sweep_gauss_seidel, _sweep_jacobi
+
+        pb = full_problem(n=64, nt=17)
+        bars = build_barriers(pb)
+        U = bars.lower.copy()
+        machine = _SweepN1(pb)
+        sweep = _sweep_jacobi if mode == JACOBI else _sweep_gauss_seidel
+        sweep(machine, U)  # warm-up: the work arrays are allocated here
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                sweep(machine, U)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < U[1:-1].nbytes
 
 
 class TestSolve:
@@ -409,28 +490,32 @@ class TestSolve:
     def test_modes_agree(self):
         pb_j = small_problem(nx=16, nt=9, mode=JACOBI)
         pb_g = small_problem(nx=16, nt=9, mode=GAUSS_SEIDEL)
-        Uj, _ = solve(pb_j)
-        Ug, _ = solve(pb_g)
+        Uj, rep_j = solve(pb_j)
+        Ug, rep_g = solve(pb_g)
         assert np.max(np.abs(Uj - Ug)) < 1e-9
+        assert rep_g.iterations < 0.6 * rep_j.iterations
 
     def test_modes_agree_full_grid(self):
-        geom = TorusGeometry(n=1, grid=(8, 8), alpha0=[[3.0]])
-        co = geom.coordinates()
-        phi1 = 0.15 * np.cos(2 * math.pi * co["x1"]) + 0.05 * np.sin(2 * math.pi * co["y1"])
-        phi2 = 0.1 * np.sin(2 * math.pi * co["x1"]) + 0.05
-        kw = dict(
-            geom=geom,
-            phi1=phi1,
-            phi2=phi2,
-            branch=Branch(c=math.atan(3.0), n=1),
-            nt=7,
-            sweep_tol=1e-12,
-            check_two_init=False,
-        )
-        Uj, _ = solve(GeodesicProblem(mode=JACOBI, **kw))
-        Ug, rep = solve(GeodesicProblem(mode=GAUSS_SEIDEL, **kw))
+        Uj, rep_j = solve(full_problem(mode=JACOBI, sweep_tol=1e-12))
+        Ug, rep = solve(full_problem(mode=GAUSS_SEIDEL, sweep_tol=1e-12))
         assert rep.converged
         assert np.max(np.abs(Uj - Ug)) < 1e-9
+        assert rep.iterations < 0.6 * rep_j.iterations
+
+    @pytest.mark.parametrize(
+        "kw, reason",
+        [
+            (dict(sweep_tol=1e-8), "projected"),
+            (dict(sweep_tol=0.0), "plateau"),
+            (dict(sweep_tol=1e-8, max_iters=5), "max_iters"),
+        ],
+    )
+    def test_stop_reason(self, kw, reason):
+        U, rep = solve(small_problem(**kw))
+        assert rep.stop_reason == reason
+        assert rep.converged == (reason != "max_iters")
+        if reason == "max_iters":
+            assert rep.iterations == 5
 
     def test_constructor_guards(self):
         geom = reduced_geom()
