@@ -21,7 +21,28 @@ non-negative real part, and lies in [-m*pi/2, m*pi/2].  On the singular
 set S (first row and column of A vanish) the determinant of I0 + i*A is
 zero and the angle jumps by pi; the upper/lower semicontinuous
 extensions there are +-pi/2 + theta(A+), where A+ drops the first row
-and column.
+and column.  ``phi_regular`` evaluates this eigenvalue definition directly
+and is kept as the reference.
+
+The batch lifts evaluate phi from one Hermitian eigensolve of A+.  Write
+A = [[a11, a1^*], [a1, A+]] and A+ = V diag(lambda) V^*, w = |V^* a1|^2.
+The Schur complement of the corner (``linalg.bordered_det``) gives
+
+    det(I0 + i*A) = det(I + i*A+) * sigma,
+    sigma = i*a11 + a1^* (I + i*A+)^{-1} a1,
+    Re sigma = sum_k w_k / (1 + lambda_k^2) >= 0,
+    Im sigma = a11 - sum_k w_k lambda_k / (1 + lambda_k^2),
+
+and phi(A) = theta(A+) + atan2(Im sigma, Re sigma).  The identity is exact:
+sigma vanishes only on S (Re sigma = 0 forces a1 = 0, then Im sigma = a11),
+and det(I + i*A+) never vanishes, each factor 1 + i*lambda_k having its
+argument arctan(lambda_k) in (-pi/2, pi/2).  So theta(A+) + arg(sigma) is
+a continuous lift of arg det(I0 + i*A) off S, and so is sum_i arg(mu_i),
+since there no mu_i vanishes or leaves the closed right half-plane.  The
+two differ by a locally constant multiple of 2*pi off S.  S has real
+codimension 2n + 1 >= 3 among Hermitian matrices, so its complement is
+connected, and at diag(1, 0, ..., 0) both lifts equal pi/2; they agree
+everywhere off S.  The same theta(A+) gives the singular extensions.
 """
 
 from __future__ import annotations
@@ -40,9 +61,14 @@ SINGULAR_LOWER = "singular-lower"
 # Relative half-width of the numerical band around the singular set S.
 EPS_SINGULAR = 1e-10
 
-# Below this (relative) eigenvalue modulus of I0 + i*A the principal arg is
-# meaningless and the semicontinuous extension takes over.
+# Below this (relative) eigenvalue modulus of I0 + i*A, or modulus of the
+# Schur complement sigma in the batch lifts, the principal arg is meaningless
+# and the semicontinuous extension takes over.
 _TINY_EIG = 1e-14
+
+# Matrices per block of the batch lift: bounds its working set, whatever the
+# batch size.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -206,23 +232,64 @@ def modulus_r_batch(H):
     return np.sqrt(np.prod(1.0 + lam * lam, axis=-1))
 
 
-def _phi_lifted_batch(A, eps, sign, tol=1e-12):
-    A = np.asarray(A, dtype=complex)
-    m = A.shape[-1]
-    scale = 1.0 + np.linalg.norm(A, axis=(-2, -1))
+def _sq_sum(X):
+    """Sum of squares of a real (k, ...) array over all but the first axis."""
+    X = X.reshape(X.shape[0], -1)
+    return np.einsum("ki,ki->k", X, X)
+
+
+def _sq_norm(Z):
+    """Squared norm of each complex Z[k], from its real and imaginary views
+    so that no complex temporary of Z's size is made."""
+    return _sq_sum(Z.real) + _sq_sum(Z.imag)
+
+
+def _skew_defect(A):
+    """||A - A^*|| of each matrix of a (k, m, m) stack."""
+    At = A.swapaxes(-2, -1)
+    return np.sqrt(_sq_sum(A.real - At.real) + _sq_sum(A.imag + At.imag))
+
+
+def _lifted_block(A, eps, sign, tol):
+    """(values, singular) for one (k, m, m) block; see the module docstring."""
+    a11 = A[:, 0, 0].real
+    a1 = A[:, 1:, 0]
+    scale = 1.0 + np.sqrt(_sq_norm(A))
+    if np.any(_skew_defect(A) > tol * scale):
+        raise ValueError("batch input is not self-adjoint")
+    lam, V = np.linalg.eigh(A[:, 1:, 1:])
+    p = np.matmul(np.conj(a1)[:, None, :], V)[:, 0, :]
+    w = np.square(p.real) + np.square(p.imag)
+    d = 1.0 / (1.0 + lam * lam)
+    wd = w * d
+    re_sigma = np.sum(wd, axis=-1)
+    im_sigma = a11 - np.sum(wd * lam, axis=-1)
+    theta_plus = np.sum(np.arctan(lam), axis=-1)
     thr = eps * scale
-    a11 = np.abs(A[..., 0, 0].real)
-    a1n = np.linalg.norm(A[..., 1:, 0], axis=-1)
-    B = degenerate_identity(m) + 1j * A
-    mu = np.linalg.eigvals(B)
-    if np.any(mu.real < -tol * scale[..., None]):
-        raise ValueError("eigenvalue with negative real part in batch")
-    tiny = np.min(np.abs(mu), axis=-1) < _TINY_EIG * scale
-    singular = ((a11 <= thr) & (a1n <= thr)) | tiny
-    args = np.arctan2(mu.imag, np.maximum(mu.real, 0.0))
-    regular_vals = np.sum(args, axis=-1)
-    singular_vals = sign * 0.5 * math.pi + theta_batch(A[..., 1:, 1:])
-    return np.where(singular, singular_vals, regular_vals), singular
+    singular = (np.abs(a11) <= thr) & (np.sqrt(_sq_norm(a1)) <= thr)
+    singular |= np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale
+    vals = theta_plus + np.where(
+        singular, sign * 0.5 * math.pi, np.arctan2(im_sigma, re_sigma)
+    )
+    return vals, singular
+
+
+def _phi_lifted_batch(A, eps, sign, tol=1e-12):
+    """(values, singular) of the usc (sign +1) or lsc (sign -1) lift of a stack.
+
+    Raises ValueError when a matrix is not self-adjoint within tol * (1 + ||A||).
+    """
+    A = np.asarray(A)
+    m = A.shape[-1]
+    flat = A.reshape(-1, m, m)
+    vals = np.empty(flat.shape[0])
+    singular = np.empty(flat.shape[0], dtype=bool)
+    for start in range(0, flat.shape[0], _BLOCK):
+        stop = start + _BLOCK
+        vals[start:stop], singular[start:stop] = _lifted_block(
+            np.asarray(flat[start:stop], dtype=complex), eps, sign, tol
+        )
+    return vals.reshape(A.shape[:-2]), singular.reshape(A.shape[:-2])
 
 
 def phi_lifted_usc_batch(A, eps=EPS_SINGULAR):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import phi_lifted_usc, phi_lifted_usc_batch, theta_batch
+from .angles import phi_lifted_usc, phi_lifted_usc_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import angle_field, complex_hessian, h_membership, lambda_endo, zderiv
 from .linalg import check_hermitian
@@ -509,19 +509,13 @@ def _residual_stats(problem, U):
     """Split interior points by singular tag and measure harmonicity."""
     c = problem.branch.c
     H, _ = interior_jets(problem, U)
-    scale = 1.0 + np.linalg.norm(H, axis=(-2, -1))
-    thr = problem.eps_report * scale
-    a11 = np.abs(H[:, 0, 0].real)
-    a1n = np.linalg.norm(H[:, 1:, 0], axis=-1)
-    singular = (a11 <= thr) & (a1n <= thr)
-    spatial_theta = theta_batch(H[:, 1:, 1:])
+    vals, singular = phi_lifted_usc_batch(H, eps=problem.eps_report)
     usc_gap_min = math.inf
     res_max = 0.0
     if np.any(singular):
-        usc_gap_min = float(np.min(0.5 * math.pi + spatial_theta[singular] - c))
+        usc_gap_min = float(np.min(vals[singular] - c))
     if np.any(~singular):
-        vals, _ = phi_lifted_usc_batch(H[~singular], eps=0.0)
-        res_max = float(np.max(np.abs(vals - c)))
+        res_max = float(np.max(np.abs(vals[~singular] - c)))
     return {
         "n_regular": int(np.sum(~singular)),
         "n_singular": int(np.sum(singular)),

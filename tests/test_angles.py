@@ -1,6 +1,7 @@
 """Tests for the spatial and lifted space-time angle operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestPhiRegular:
 
     def test_batch_rejects_corrupt_input(self):
         bad = np.zeros((1, 2, 2), dtype=complex)
-        bad[0, 0, 0] = 5j  # not self-adjoint: forces an eigenvalue into Re < 0
+        bad[0, 0, 0] = 5j  # not self-adjoint
         with pytest.raises(ValueError):
             phi_lifted_usc_batch(bad)
 
@@ -183,15 +184,52 @@ class TestLiftedExtensions:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(19)
-        A = np.stack([random_spacetime(rng, 1) for _ in range(64)])
-        A[:8, 0, :] = 0.0
-        A[:8, :, 0] = 0.0
+        scales = (0.1, 1.0, 10.0)
+        for n in (1, 2, 3):
+            A = np.stack(
+                [random_spacetime(rng, n, scale=scales[k % 3]) for k in range(300)]
+            )
+            A[:30, 0, :] = 0.0
+            A[:30, :, 0] = 0.0
+            vals, singular = phi_lifted_usc_batch(A)
+            lvals, _ = phi_lifted_lsc_batch(A)
+            for k in range(A.shape[0]):
+                assert vals[k] == pytest.approx(phi_lifted_usc(A[k]).value, abs=1e-12)
+                assert lvals[k] == pytest.approx(phi_lifted_lsc(A[k]).value, abs=1e-12)
+            assert singular[:30].all() and not singular[30:].any()
+
+    @pytest.mark.parametrize("amp", [1e-2, 1e-4, 1e-6])
+    def test_batch_near_singular_diagonal_block(self, amp):
+        # With A+ = diag(lam) the Schur complement is explicit:
+        # phi = sum arctan(lam) + arg(i*a + sum |b_k|^2 / (1 + i*lam_k)).
+        rng = np.random.default_rng(27)
+        count = 200
+        lam = rng.uniform(-3.0, 3.0, size=(count, 2))
+        a = amp**2 * rng.standard_normal(count)
+        b = amp * (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2)))
+        A = np.zeros((count, 3, 3), dtype=complex)
+        A[:, 0, 0] = a
+        A[:, 1:, 0] = b
+        A[:, 0, 1:] = np.conj(b)
+        A[:, 1, 1] = lam[:, 0]
+        A[:, 2, 2] = lam[:, 1]
+        sigma = 1j * a + np.sum(np.abs(b) ** 2 / (1.0 + 1j * lam), axis=-1)
+        expected = np.sum(np.arctan(lam), axis=-1) + np.angle(sigma)
         vals, singular = phi_lifted_usc_batch(A)
-        lvals, _ = phi_lifted_lsc_batch(A)
-        for k in range(64):
-            assert vals[k] == pytest.approx(phi_lifted_usc(A[k]).value, abs=1e-12)
-            assert lvals[k] == pytest.approx(phi_lifted_lsc(A[k]).value, abs=1e-12)
-        assert singular[:8].all() and not singular[8:].any()
+        assert not singular.any()
+        assert np.max(np.abs(vals - expected)) < 1e-13
+
+    def test_batch_working_set_bounded(self):
+        rng = np.random.default_rng(28)
+        A = np.stack([random_spacetime(rng, 2) for _ in range(16000)])
+        phi_lifted_usc_batch(A[:16])
+        tracemalloc.start()
+        try:
+            phi_lifted_usc_batch(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes
 
 
 class TestEtaSqueeze:
