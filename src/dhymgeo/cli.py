@@ -207,6 +207,10 @@ def cmd_geodesic(args):
     rep.add("final_max_update", report.final_max_update)
     rep.add("converged", report.converged)
     rep.add("stop_reason", report.stop_reason)
+    rep.add("omega", report.omega)
+    rep.add("rho_estimate", report.rho_estimate)
+    rep.add("plain_sweeps", report.plain_sweeps)
+    rep.add("perron_check", report.perron_check)
     rep.add("n_regular", report.n_regular)
     rep.add("n_singular", report.n_singular)
     rep.add("residual_regular_max", report.residual_regular_max)
@@ -218,6 +222,18 @@ def cmd_geodesic(args):
     if report.two_init_discrepancy is not None:
         rep.add("two_init_discrepancy", report.two_init_discrepancy)
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
+    if report.stop_reason == "plateau":
+        print(
+            "note: the sweeps stopped at the rounding plateau, before the "
+            "projected distance met sweep_tol",
+            file=sys.stderr,
+        )
+    if report.details["guard_sweep"]:
+        print(
+            f"note: relaxation did not contract; plain sweeps from sweep "
+            f"{report.details['guard_sweep']}",
+            file=sys.stderr,
+        )
 
     checks = {
         "converged": report.converged,
@@ -228,10 +244,10 @@ def cmd_geodesic(args):
         "singular_gap": report.singular_usc_gap_min >= -residual_tol
         or report.n_singular == 0,
     }
+    sweep_bound = max(10.0 * problem.sweep_tol, 1e-9)
+    checks["perron"] = report.perron_check <= sweep_bound
     if report.two_init_discrepancy is not None:
-        checks["two_init"] = report.two_init_discrepancy <= max(
-            10.0 * problem.sweep_tol, 1e-9
-        )
+        checks["two_init"] = report.two_init_discrepancy <= sweep_bound
     for name, ok in checks.items():
         rep.add(f"check_{name}", "pass" if ok else "fail")
     status = all(checks.values())

@@ -26,10 +26,30 @@ in turn (t parity times the spatial checkerboard), a true Gauss-Seidel
 ordering that reaches the same fixed point as Jacobi in about half the
 sweeps.  The generic path (any n) brackets and bisects on the lifted
 angle itself.
+
+Both sweeps are over-relaxed once their contraction is measured, which
+keeps the fixed point (the Perron solution) and cuts the sweep count by
+about the square root.  A solve starts with plain sweeps and measures the
+per-sweep contraction ratio of the largest update over windows of 30
+(Jacobi) or 15 (Gauss-Seidel) sweeps.  When two successive window ratios
+agree, the ratio gives rho, the spectral radius of the linearized Jacobi
+sweep (the Jacobi ratio, or the square root of the Gauss-Seidel one), and
+omega = 2 / (1 + sqrt(1 - rho^2)).  Gauss-Seidel then moves each colour
+to u + omega (T(u) - u) (Young's SOR); Jacobi takes Chebyshev steps
+u+ = u_prev + w_k (T(u) - u_prev) with w_1 = 1, w_2 = 1 / (1 - rho^2 / 2)
+and w_{k+1} = 1 / (1 - rho^2 w_k / 4), which tend to omega (Golub and
+Varga).  Relaxed updates are not monotone, so progress is judged on the
+largest update of each window.  A guard restores the grid at the start of
+relaxation and finishes with plain sweeps when four windows pass without
+a new lowest maximum above rounding level, or an update is not finite.  A
+relaxed solve ends with one window of plain sweeps, which settle the
+rounding noise the weights amplify, and every solve reports the largest
+move of one more plain Jacobi sweep from its result (the Perron check).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -325,6 +345,8 @@ class _SweepN1:
         # again on every sweep, which cost about two thirds of a Jacobi
         # sweep on a 25 x 32 x 32 grid.
         self.scratch = np.empty((problem.nt - 2,) + geom.grid)
+        # the previous iterate of a Chebyshev (relaxed Jacobi) step
+        self.prev = np.empty_like(self.scratch)
         self._work = {}
 
     def _buffers(self, shape):
@@ -415,21 +437,38 @@ class _SweepN1:
         return float(np.max(self.scratch))
 
 
-def _sweep_jacobi(machine, U):
+def _relax(new, old, omega):
+    """new <- old + omega (new - old), in place."""
+    np.subtract(new, old, out=new)
+    np.multiply(new, omega, out=new)
+    np.add(new, old, out=new)
+
+
+def _sweep_jacobi(machine, U, omega=None):
+    """Jacobi sweep u+ = T(u) of the whole interior.
+
+    With ``omega`` it is a Chebyshev step u+ = u_prev + omega (T(u) - u_prev)
+    instead; ``machine.prev`` holds u_prev and moves on to u.
+    """
     mid = U[1:-1]
     new = machine.updates(U[2:], mid, U[:-2])
+    if omega is not None:
+        if omega != 1.0:
+            _relax(new, machine.prev, omega)
+        np.copyto(machine.prev, mid)
     delta = machine.max_change(new, mid)
     np.copyto(mid, new)
     return delta
 
 
-def _sweep_gauss_seidel(machine, U):
+def _sweep_gauss_seidel(machine, U, omega=None):
     """Four-colour in-place sweep: t parity, then the spatial checkerboard.
 
     No stencil edge joins two points of one colour (u_tt and b reach
     t +- 1, the spatial endomorphism reaches the other checkerboard colour
     in the same slice), so updating a colour at once is exactly a
-    Gauss-Seidel ordering of single-point Perron updates.  Every point
+    Gauss-Seidel ordering of single-point Perron updates.  With ``omega``
+    each colour moves to u + omega (T(u) - u) instead (SOR).  Every point
     changes once per sweep, so the update size is the largest change of
     the interior over the whole sweep.
     """
@@ -437,7 +476,10 @@ def _sweep_gauss_seidel(machine, U):
     for p in (0, 1):
         up, mid, dn = U[2 + p :: 2], U[1 + p : -1 : 2], U[p:-2:2]
         for colour in machine.colours:
-            np.copyto(mid, machine.updates(up, mid, dn), where=colour)
+            new = machine.updates(up, mid, dn)
+            if omega is not None and omega != 1.0:
+                _relax(new, mid, omega)
+            np.copyto(mid, new, where=colour)
     return machine.max_change(U[1:-1], machine.scratch)
 
 
@@ -447,6 +489,10 @@ class SolverReport:
     final_max_update: float
     converged: bool
     stop_reason: str
+    omega: float
+    rho_estimate: float
+    plain_sweeps: int
+    perron_check: float
     residual_regular_max: float
     n_regular: int
     n_singular: int
@@ -467,6 +513,7 @@ class SolverReport:
             self.residual_regular_max,
             self.sandwich_low_worst,
             self.sandwich_high_worst,
+            self.perron_check,
         ]
         if self.n_singular > 0:
             vals.append(self.singular_usc_gap_min)
@@ -537,40 +584,182 @@ def validate_slices(problem, U, tol_slice=1e-3):
     return ranges, ok
 
 
-def _solve_single(problem, U0, barriers):
-    """Sweep to a stop; returns (grid, sweeps, last update, stop reason).
+# Sweeps per window: the projected stop, the relaxation trigger and the
+# relaxed progress test all measure over it.
+_WINDOW = {JACOBI: 30, GAUSS_SEIDEL: 15}
+# Two successive window ratios agree when they differ by at most this
+# share of the distance 1 - r to the unit ratio.
+_RATIO_AGREE = 0.1
+# Relaxed updates are not monotone: the largest update of a window can
+# exceed the previous window's for a couple of windows while the error
+# still falls.  So a relaxed window makes progress when its largest update
+# is the lowest so far, and relaxation has stalled after this many windows
+# without progress.
+_STALE_WINDOWS = 4
+# At rounding level progress must cut the lowest window maximum by this
+# factor, and this many windows without progress end the solve: relaxed
+# sweeps reach the floor in a few windows and then only add noise.
+_PLATEAU_CUT = 0.7
+_PLATEAU_WINDOWS = 2
+# Plateau look-back of plain sweeps, which contract slowly.
+_PLAIN_LOOKBACK = 400
+# Updates below this size count as rounding level for the plateau stop.
+_PLATEAU_LEVEL = 1e-9
+
+
+def _relaxation(mode, ratio):
+    """(rho, omega) from a measured per-sweep contraction ratio of plain sweeps.
+
+    rho is the spectral radius of the linearized Jacobi sweep: the Jacobi
+    ratio itself, or the square root of the Gauss-Seidel ratio (Young's
+    relation for consistently ordered sweeps).  omega = 2 / (1 + sqrt(1 -
+    rho^2)) is Young's optimal SOR factor and the limit of the Chebyshev
+    weights.
+    """
+    rho = ratio if mode == JACOBI else math.sqrt(ratio)
+    return rho, 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+
+
+def _chebyshev_weights(rho):
+    """Golub-Varga weights 1, 1/(1 - rho^2/2), then w <- 1/(1 - rho^2 w/4)."""
+    w = 1.0
+    yield w
+    w = 1.0 / (1.0 - 0.5 * rho * rho)
+    while True:
+        yield w
+        w = 1.0 / (1.0 - 0.25 * rho * rho * w)
+
+
+def _agreed_ratio(history, window):
+    """The last window's per-sweep contraction ratio, if the window before
+    contracted at a ratio that agrees with it; else None."""
+    if len(history) <= 2 * window:
+        return None
+    h0, h1, h2 = history[-2 * window - 1], history[-window - 1], history[-1]
+    if not 0.0 < h2 < h1 < h0:
+        return None
+    r_old = (h1 / h0) ** (1.0 / window)
+    r_new = (h2 / h1) ** (1.0 / window)
+    return r_new if abs(r_new - r_old) <= _RATIO_AGREE * (1.0 - r_new) else None
+
+
+def _projected_converged(history, window, tol):
+    """Whether the projected distance to the fixed point is below ``tol``.
+
+    Sweeps contract geometrically with ratio r close to 1, so a small
+    update does not mean a small distance to the fixed point: the remaining
+    movement is about delta * r / (1 - r).  Testing that projection (not
+    the raw update) is what makes independent initializations agree to
+    O(tol).  Within the first window no ratio is measured yet and the raw
+    update stands in for the projection.
+    """
+    delta = history[-1]
+    if not delta < tol:
+        return False
+    if len(history) <= window:
+        return True
+    prev = history[-window - 1]
+    r = (delta / prev) ** (1.0 / window) if prev > 0.0 else 0.0
+    return r < 1.0 and delta * r / (1.0 - r) < tol
+
+
+@dataclass
+class _Run:
+    """One sweep solve: the grid, how it stopped, and how it was relaxed."""
+
+    U: np.ndarray
+    iterations: int = 0
+    final_max_update: float = 0.0
+    stop_reason: str = "max_iters"
+    omega: float = 1.0
+    rho_estimate: float = 0.0
+    plain_sweeps: int = 0
+    guard_sweep: int = 0
+    perron_check: float = 0.0
+
+
+def _solve_single(problem, U0):
+    """Sweep to a stop; returns a _Run.
 
     The stop reason is ``projected`` (the projected distance to the fixed
     point fell below ``sweep_tol``), ``plateau`` (updates stopped shrinking
     at rounding level without meeting that test) or ``max_iters``.
-    """
-    U = U0.copy()
-    machine = _SweepN1(problem)
-    sweep = _sweep_jacobi if problem.mode == JACOBI else _sweep_gauss_seidel
 
-    # Relaxation sweeps contract geometrically with ratio r close to 1, so a
-    # small update does not mean a small distance to the fixed point: the
-    # remaining movement is about delta * r / (1 - r).  Convergence is
-    # declared when that projection (not the raw update) drops below
-    # sweep_tol, which is what makes independent initializations agree to
-    # O(sweep_tol).  Within the first window sweeps no ratio is measured yet
-    # and the raw update stands in for the projection.
-    window = 30
+    Plain sweeps run until two successive window ratios agree; then rho and
+    omega follow from the ratio, and the sweeps are over-relaxed (SOR weight
+    omega, or Chebyshev weights tending to omega).  A relaxed window that
+    makes no progress (see _STALE_WINDOWS) is stale.  At rounding level,
+    stale windows stop the solve on the plateau; above it (and at once on
+    a non-finite update) they trip the guard, which restores the grid of
+    the last plain sweep and lets plain sweeps finish the solve.
+    """
+    run = _Run(U0.copy())
+    U = run.U
+    interior = U[1:-1]
+    machine = _SweepN1(problem)
+    jacobi = problem.mode == JACOBI
+    sweep = _sweep_jacobi if jacobi else _sweep_gauss_seidel
+    window = _WINDOW[problem.mode]
     history = []
+    weights = None  # the relaxation weights; None while sweeps are plain
+    start = stale = 0  # len(history) when relaxation began; stale windows
+    best = math.inf  # lowest largest update of a relaxed window
+    checkpoint = None  # the interior when relaxation began
     for iters in range(1, problem.max_iters + 1):
-        delta = sweep(machine, U)
+        relaxed = weights is not None
+        delta = sweep(machine, U, next(weights) if relaxed else None)
         history.append(delta)
-        if delta < problem.sweep_tol:
-            if len(history) <= window:
-                return U, iters, delta, "projected"
-            prev = history[-window - 1]
-            r = (delta / prev) ** (1.0 / window) if prev > 0.0 else 0.0
-            projected = delta * r / (1.0 - r) if r < 1.0 else math.inf
-            if projected < problem.sweep_tol:
-                return U, iters, delta, "projected"
-        if delta < 1e-9 and len(history) > 400 and delta >= 0.98 * history[-400]:
-            return U, iters, delta, "plateau"
-    return U, problem.max_iters, history[-1] if history else 0.0, "max_iters"
+        run.iterations, run.final_max_update = iters, delta
+        if _projected_converged(history, window, problem.sweep_tol):
+            run.stop_reason = "projected"
+            break
+        if relaxed:
+            if math.isfinite(delta) and (len(history) - start) % window:
+                continue
+            peak = max(history[-window:]) if math.isfinite(delta) else math.nan
+            rounding = peak < _PLATEAU_LEVEL
+            if peak < (_PLATEAU_CUT * best if rounding else best):
+                best, stale = peak, 0
+                continue
+            stale += 1
+            if rounding:
+                if stale < _PLATEAU_WINDOWS:
+                    continue
+                run.stop_reason = "plateau"
+                break
+            if stale < _STALE_WINDOWS and math.isfinite(peak):
+                continue
+            # the guard: relaxation stopped contracting above rounding level
+            np.copyto(interior, checkpoint)
+            del history[start:]
+            weights = None
+            run.guard_sweep = iters
+        elif (
+            delta < _PLATEAU_LEVEL
+            and len(history) > _PLAIN_LOOKBACK
+            and delta >= 0.98 * history[-_PLAIN_LOOKBACK]
+        ):
+            run.stop_reason = "plateau"
+            break
+        elif not run.guard_sweep:
+            ratio = _agreed_ratio(history, window)
+            if ratio is None:
+                continue
+            rho, omega = _relaxation(problem.mode, ratio)
+            run.rho_estimate, run.omega, run.plain_sweeps = rho, omega, iters
+            weights = _chebyshev_weights(rho) if jacobi else itertools.repeat(omega)
+            start = len(history)
+            checkpoint = interior.copy()
+    if weights is not None and run.stop_reason != "max_iters":
+        # the weights amplify rounding noise (its second t differences are
+        # what a near-singular residual sees); one window of plain sweeps
+        # settles it
+        for _ in range(min(window, problem.max_iters - run.iterations)):
+            run.final_max_update = sweep(machine, U)
+            run.iterations += 1
+    # the Perron oracle: one plain Jacobi sweep from the result
+    run.perron_check = machine.max_change(machine.updates(U[2:], interior, U[:-2]), interior)
+    return run
 
 
 def solve(problem, init="lower"):
@@ -597,24 +786,28 @@ def solve(problem, init="lower"):
         raise PreconditionError(f"unknown initialization {init!r}")
     U0[0], U0[-1] = problem.phi1, problem.phi2
 
-    U, iters, last_delta, stop_reason = _solve_single(problem, U0, barriers)
+    run = _solve_single(problem, U0)
+    U = run.U
 
     two_init = None
     if problem.check_two_init:
         W0 = np.clip(linear_interpolation(problem), barriers.lower, barriers.upper)
         W0[0], W0[-1] = problem.phi1, problem.phi2
-        W, _, _, _ = _solve_single(problem, W0, barriers)
-        two_init = float(np.max(np.abs(U - W)))
+        two_init = float(np.max(np.abs(U - _solve_single(problem, W0).U)))
 
     stats = _residual_stats(problem, U)
     ranges, slice_ok = validate_slices(problem, U)
     low_worst = float(np.min(U - barriers.lower))
     high_worst = float(np.min(barriers.upper - U))
     report = SolverReport(
-        iterations=iters,
-        final_max_update=last_delta,
-        converged=stop_reason != "max_iters",
-        stop_reason=stop_reason,
+        iterations=run.iterations,
+        final_max_update=run.final_max_update,
+        converged=run.stop_reason != "max_iters",
+        stop_reason=run.stop_reason,
+        omega=run.omega,
+        rho_estimate=run.rho_estimate,
+        plain_sweeps=run.plain_sweeps,
+        perron_check=run.perron_check,
         residual_regular_max=stats["residual_regular_max"],
         n_regular=stats["n_regular"],
         n_singular=stats["n_singular"],
@@ -627,6 +820,10 @@ def solve(problem, init="lower"):
         two_init_discrepancy=two_init,
         mode=problem.mode,
         runtime_seconds=time.perf_counter() - t0,
-        details={"margins": list(problem.margins), "c": problem.branch.c},
+        details={
+            "margins": list(problem.margins),
+            "c": problem.branch.c,
+            "guard_sweep": run.guard_sweep,
+        },
     )
     return U, report

@@ -196,6 +196,50 @@ class TestGeodesicCommand:
         assert code == 2
         assert "not admissible" in err
 
+    def test_relaxation_report_lines(self, capsys):
+        code, out, err = run(
+            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
+        )
+        assert code == 0
+        assert int(grep(out, "plain_sweeps")) > 0
+        assert 0.0 < float(grep(out, "rho_estimate")) < 1.0
+        assert 1.0 <= float(grep(out, "omega")) < 2.0
+        assert float(grep(out, "perron_check")) <= 1e-9
+        assert grep(out, "check_perron") == "pass"
+        assert grep(out, "stop_reason") == "projected"
+        assert "note:" not in err
+
+    def test_unconverged_run_fails_perron_check(self, capsys, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("max_iters = 20000", "max_iters = 5"))
+        code, out, _ = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 1
+        assert grep(out, "stop_reason") == "max_iters"
+        assert float(grep(out, "perron_check")) > 1e-9
+        assert grep(out, "check_perron") == "fail"
+
+    def test_plateau_stop_noted_on_stderr(self, capsys, tmp_path):
+        cfg = tmp_path / "tight.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("sweep_tol = 1e-12", "sweep_tol = 1e-17"))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 0
+        assert grep(out, "stop_reason") == "plateau"
+        assert "note: the sweeps stopped at the rounding plateau" in err
+
+    def test_guard_fallback_noted_on_stderr(self, capsys, monkeypatch):
+        from dhymgeo import geodesic
+
+        # omega > 2 makes SOR diverge, so the guard must take over
+        monkeypatch.setattr(geodesic, "_relaxation", lambda mode, ratio: (0.99, 2.5))
+        code, out, err = run(
+            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
+        )
+        assert code == 0
+        assert grep(out, "status") == "pass"
+        assert "note: relaxation did not contract" in err
+
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_mode_flag_and_determinism(self, capsys, mode):
         args = (

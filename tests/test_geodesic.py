@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dhymgeo import geodesic
 from dhymgeo.errors import PreconditionError
 from dhymgeo.geodesic import (
     GAUSS_SEIDEL,
@@ -404,15 +405,19 @@ class TestSweepKernel:
         U = bars.lower.copy()
         machine = _SweepN1(pb)
         sweep = _sweep_jacobi if mode == JACOBI else _sweep_gauss_seidel
-        sweep(machine, U)  # warm-up: the work arrays are allocated here
-        tracemalloc.start()
-        try:
-            for _ in range(10):
-                sweep(machine, U)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < U[1:-1].nbytes
+        # warm-up: the work arrays are allocated here, and a relaxed Jacobi
+        # step (weight 1) records the previous iterate
+        sweep(machine, U)
+        sweep(machine, U, 1.0)
+        for omega in (None, 1.6):
+            tracemalloc.start()
+            try:
+                for _ in range(10):
+                    sweep(machine, U, omega)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < U[1:-1].nbytes, omega
 
 
 class TestSolve:
@@ -589,6 +594,94 @@ class TestSolve:
         )
         with pytest.raises(PreconditionError):
             solve(pb)
+
+
+def shift_problem():
+    """Criterion 8's 33 x 64 shift problem: phi2 = phi1 + 0.2, exact solution
+    linear in t."""
+    geom = reduced_geom(64)
+    phi = 0.3 * np.cos(2 * math.pi * geom.coordinates()["x1"])
+    return GeodesicProblem(
+        geom=geom,
+        phi1=phi,
+        phi2=phi + 0.2,
+        branch=Branch(c=math.atan(3.0), n=1),
+        nt=33,
+        sweep_tol=1e-13,
+        max_iters=60000,
+        mode=JACOBI,
+        check_two_init=False,
+    )
+
+
+def plain_sweeps_only(monkeypatch):
+    """Make every later solve run plain sweeps: no window ratios ever agree."""
+    monkeypatch.setattr(geodesic, "_agreed_ratio", lambda history, window: None)
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    @pytest.mark.parametrize("mode", [JACOBI, GAUSS_SEIDEL])
+    def test_matches_plain_sweeps(self, make, mode, monkeypatch):
+        pb = make(mode=mode, sweep_tol=1e-13)
+        U, rep = solve(pb)
+        assert rep.plain_sweeps > 0 and rep.details["guard_sweep"] == 0
+        assert 0.0 < rep.rho_estimate < 1.0
+        assert 1.0 <= rep.omega < 2.0
+        assert rep.perron_check <= 1e-12
+        plain_sweeps_only(monkeypatch)
+        Up, rep_p = solve(pb)
+        assert rep_p.plain_sweeps == 0 and rep_p.omega == 1.0 and rep_p.rho_estimate == 0.0
+        assert np.max(np.abs(U - Up)) <= 1e-10
+        assert rep.iterations < rep_p.iterations
+
+    def test_omega_in_unit_to_two(self):
+        for ratio in (1e-6, 0.3, 0.9, 0.99, 0.999999):
+            for mode in (JACOBI, GAUSS_SEIDEL):
+                rho, omega = geodesic._relaxation(mode, ratio)
+                assert 0.0 < rho < 1.0
+                assert 1.0 <= omega < 2.0
+            # Young's relation: the Gauss-Seidel ratio is the squared Jacobi one
+            assert geodesic._relaxation(GAUSS_SEIDEL, ratio * ratio) == pytest.approx(
+                geodesic._relaxation(JACOBI, ratio), rel=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "mode, bad",
+        # rho > 1 makes the Chebyshev weights swing through large negative
+        # values; omega > 2 makes SOR diverge
+        [(JACOBI, (1.5, 2.0)), (GAUSS_SEIDEL, (0.99, 2.5))],
+    )
+    def test_guard_recovers_from_bad_rho(self, mode, bad, monkeypatch):
+        pb = small_problem(mode=mode)
+        monkeypatch.setattr(geodesic, "_relaxation", lambda mode, ratio: bad)
+        U, rep = solve(pb)
+        assert rep.details["guard_sweep"] > rep.plain_sweeps > 0
+        assert rep.converged and rep.all_finite() and rep.sandwich_ok
+        assert rep.perron_check <= 1e-12
+        plain_sweeps_only(monkeypatch)
+        Up, _ = solve(pb)
+        assert np.max(np.abs(U - Up)) <= 1e-10
+
+    def test_perron_check_is_one_plain_sweep(self):
+        from dhymgeo.geodesic import _SweepN1
+
+        pb = small_problem(sweep_tol=1e-8, max_iters=5)
+        U, rep = solve(pb)
+        machine = _SweepN1(pb)
+        move = np.max(np.abs(machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1]))
+        assert rep.perron_check == move
+        assert move > 1e-6  # five sweeps from the lower barrier are far off
+
+    def test_shift_family_sweeps_fall_fivefold(self, monkeypatch):
+        pb = shift_problem()
+        U, rep = solve(pb)
+        exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
+        assert np.max(np.abs(U - exact)) < 1e-10
+        plain_sweeps_only(monkeypatch)
+        Up, rep_p = solve(pb)
+        assert rep.iterations < rep_p.iterations / 5
+        assert np.max(np.abs(U - Up)) <= 1e-10
 
 
 class TestValidateSlices:
