@@ -192,6 +192,65 @@ def phi_lifted_lsc(A, eps=EPS_SINGULAR):
     return _lifted(A, eps, -1)
 
 
+def _level_roots(A, d, c, spatial):
+    """Ascending real parts of the roots of q(v) = Im(e^{-ic} det(I0 + i(A - v diag(d)))).
+
+    I0 is the identity for spatial data, diag(0, 1, ..., 1) otherwise.  With
+    M = diag(d)^{-1} (A - i I0), I0 + i(A - v diag(d)) = -i diag(d) (v - M), so
+    q(v) = prod(d) Im(e^{-i(c + m pi/2)} prod_k (v - kappa_k)) over the
+    eigenvalues kappa of M: a real polynomial of degree m.  Off S,
+    det = |det| e^{i phi~}, so q vanishes where phi~ crosses a level c + k pi;
+    on S det vanishes, and there the lift jumps down by pi over one level.
+    phi~ falls from m pi/2 to -m pi/2 along the ray and passes each of the m
+    levels in that range once, so every root is real and rounding only adds
+    imaginary noise.
+    """
+    m = A.shape[0]
+    i0 = np.ones(m)
+    if not spatial:
+        i0[0] = 0.0
+    kappa = np.linalg.eigvals((A - 1j * np.diag(i0)) / d[:, None])
+    coef = np.imag(np.exp(-1j * (c + 0.5 * m * math.pi)) * np.poly(kappa))
+    return np.sort(np.roots(coef).real)
+
+
+def _ray_boundary(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False):
+    """Largest evaluated member of {v : angle(v) >= c} along A - v diag(d), d > 0.
+
+    ``angle(v)`` evaluates the lifted angle (theta with ``spatial``) of
+    A - v diag(d), which does not increase in v.  On entry angle(lo) =
+    phi_lo >= c and angle(hi) < c.  The crossing of c is a root of the
+    polynomial of ``_level_roots``: among the roots in (lo, hi), one is
+    passed first for each level c + k pi (k >= 1) below phi_lo; in the
+    convexity regime there is none, and the crossing is the smallest root.
+    Two evaluations at r -+ tol/2 certify it.  When they do not bracket the
+    boundary (on or near S, or a root off by more than tol/2), bisection
+    goes on from the bracket they narrowed.  Either way the returned v has
+    angle(v) >= c evaluated and a value at most tol above it evaluated < c.
+    """
+    skip = max(math.ceil((phi_lo - c) / math.pi) - 1, 0)
+    roots = _level_roots(A, d, c, spatial)
+    roots = roots[(roots > lo) & (roots < hi)]
+    if len(roots) > skip:
+        low = roots[skip] - 0.5 * tol
+        high = low + tol
+        if high - low > tol:  # low + tol rounded up
+            high = math.nextafter(high, low)
+        for v in (low, high):
+            if lo < v < hi:
+                if angle(v) >= c:
+                    lo = v
+                else:
+                    hi = v
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if angle(mid) >= c:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def eta_squeeze(A, eta):
     """Spatial angle of I^eta A I^eta where I^eta scales the time coordinate by eta.
 

@@ -210,6 +210,7 @@ def cmd_geodesic(args):
     rep.add("omega", report.omega)
     rep.add("rho_estimate", report.rho_estimate)
     rep.add("plain_sweeps", report.plain_sweeps)
+    rep.add("guard_sweep", report.details["guard_sweep"])
     rep.add("perron_check", report.perron_check)
     rep.add("n_regular", report.n_regular)
     rep.add("n_singular", report.n_singular)

@@ -24,8 +24,13 @@ evaluates it on whole blocks of t rows.  The Jacobi sweep applies it to
 the whole interior at once; the Gauss-Seidel sweep updates four colours
 in turn (t parity times the spatial checkerboard), a true Gauss-Seidel
 ordering that reaches the same fixed point as Jacobi in about half the
-sweeps.  The generic path (any n) brackets and bisects on the lifted
-angle itself.
+sweeps.  The generic path (any n), ``perron_update``, brackets v* between
+the barriers and takes it from the polynomial Im(e^{-ic} det(I0 + iH(v))),
+of degree n + 1 in v: in the regime (n-1)pi/2 < c < n pi/2 no higher level
+c + k pi is crossed first, so v* is its smallest root in the bracket.  Two
+evaluations of the lifted angle at the root -+ bisect_tol/2 certify it;
+bisection takes over from the narrowed bracket only where they do not
+(on or near the singular set).
 
 Both sweeps are over-relaxed once their contraction is measured, which
 keeps the fixed point (the Perron solution) and cuts the sweep count by
@@ -56,9 +61,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import phi_lifted_usc, phi_lifted_usc_batch
+from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch
 from .errors import PreconditionError, ValidationError
-from .geometry import angle_field, complex_hessian, h_membership, lambda_endo, zderiv
+from .geometry import (
+    _hessian,
+    angle_field,
+    complex_hessian,
+    h_membership,
+    lambda_endo,
+    neighbourhood,
+    zderiv,
+)
 from .linalg import check_hermitian
 from .subequations import Branch
 
@@ -67,7 +80,7 @@ T_TOTAL = math.log(2.0)
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
 
-# Bracket padding beyond the barrier sandwich for the bisection path.
+# Padding beyond the barrier sandwich for the bracket of the pointwise update.
 _BRACKET_PAD = 1.0
 
 # Relative threshold for tagging converged jets as singular when reporting.
@@ -92,7 +105,8 @@ class GeodesicProblem:
 
     ``phi1`` sits at t = 0 (|s| = 1) and ``phi2`` at t = log 2 (|s| = 2).
     Both must be admissible with positive margin and the branch must lie
-    in the convexity window (n-1)*pi/2 < c < n*pi/2.
+    in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
+    the width of the certified bracket of a pointwise update.
     """
 
     geom: object
@@ -220,17 +234,27 @@ def strictify(U, eps, which, barriers):
 
 
 def assemble_jet(problem, U, it, ix):
-    """SpaceTimeJet at interior t-index ``it`` and spatial multi-index ``ix``."""
+    """SpaceTimeJet at interior t-index ``it`` and spatial multi-index ``ix``.
+
+    Reads only the 3^(k+1) neighbourhood of the point (k grid axes) and
+    applies the grid operators to it: on a periodic 3-wide patch their
+    rolls reach the point's true neighbours, so the jet equals the point's
+    row of ``interior_jets`` bitwise.
+    """
     if not (0 < it < problem.nt - 1):
         raise PreconditionError("jet assembly needs an interior t index")
     geom = problem.geom
-    ix = tuple(np.atleast_1d(ix).astype(int))
+    index = neighbourhood(geom, ix)
+    W = U[it - 1 : it + 2][(slice(None),) + index]
+    centre = (1,) * len(geom.grid)
     ht = problem.ht
-    udd = (U[it + 1][ix] - 2.0 * U[it][ix] + U[it - 1][ix]) / (ht * ht)
-    udot = (U[it + 1] - U[it - 1]) / (2.0 * ht)
-    b = np.array([zderiv(geom, udot, j)[ix] for j in range(geom.n)], dtype=complex)
-    spatial = lambda_endo(geom, U[it])[ix]
-    return SpaceTimeJet(udotdot=float(udd), b=b, spatial=np.asarray(spatial))
+    udd = (W[2][centre] - 2.0 * W[1][centre] + W[0][centre]) / (ht * ht)
+    udot = (W[2] - W[0]) / (2.0 * ht)
+    b = np.array([zderiv(geom, udot, j)[centre] for j in range(geom.n)], dtype=complex)
+    # lambda_endo's potential, psi_alpha + phi, on the patch
+    pot = W[1] if geom.psi_alpha is None else geom.psi_alpha[index] + W[1]
+    spatial = geom.alpha0 + _hessian(geom, pot)[centre]
+    return SpaceTimeJet(udotdot=float(udd), b=b, spatial=spatial)
 
 
 def harmonic_residual(jet, c):
@@ -261,46 +285,44 @@ def _center_coeffs(problem):
 
 
 def perron_update(problem, U, it, ix, lower=None, upper=None):
-    """Largest center value keeping the jet's lifted angle >= c, by bisection.
+    """Largest center value keeping the jet's lifted angle >= c.
 
     Works for any n.  The bracket starts at the barrier sandwich padded
     by 1.0 on each side and expands as needed; the admissible set is a
-    ray, so membership at the low end always appears eventually.
+    ray, so membership at the low end always appears eventually.  Its
+    boundary is a root of the polynomial Im(e^{-ic} det(I0 + iH(v))),
+    certified by two angle evaluations (``angles._ray_boundary``); the
+    result is evaluated admissible, a value at most ``bisect_tol`` above
+    it evaluated inadmissible.
     """
-    geom = problem.geom
     c = problem.branch.c
-    ix = tuple(np.atleast_1d(ix).astype(int))
-    a, gs = _center_coeffs(problem)
-    D = np.diag(np.concatenate(([a], gs))).astype(complex)
-
-    v0 = float(U[it][ix])
     jet = assemble_jet(problem, U, it, ix)
+    ix = tuple(int(i) for i in np.atleast_1d(ix))
+    a, gs = _center_coeffs(problem)
+    d = np.concatenate(([a], gs))
+    D = np.diag(d).astype(complex)
+    v0 = float(U[it][ix])
     H0 = jet.matrix() + v0 * D  # center contribution removed
 
-    def admissible(v):
-        return phi_lifted_usc(H0 - v * D).value >= c
+    def angle(v):
+        return phi_lifted_usc(H0 - v * D).value
 
     lo = (float(lower[it][ix]) if lower is not None else v0) - _BRACKET_PAD
     hi = (float(upper[it][ix]) if upper is not None else v0) + _BRACKET_PAD
     for _ in range(80):
-        if admissible(lo):
+        phi_lo = angle(lo)
+        if phi_lo >= c:
             break
         lo -= 2.0 * _BRACKET_PAD
     else:
         raise ValidationError("no admissible value found below the bracket")
     for _ in range(80):
-        if not admissible(hi):
+        if angle(hi) < c:
             break
         hi += 2.0 * _BRACKET_PAD
     else:
         raise ValidationError("admissible set unbounded above; scheme breakdown")
-    while hi - lo > problem.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, problem.bisect_tol)
 
 
 def _periodic_pair(op, a, axis, out):

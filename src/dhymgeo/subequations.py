@@ -11,9 +11,13 @@ a branch constant c and a Hermitian twist matrix L:
 where phi~ is the upper semicontinuous lifted space-time angle.  Duality
 swaps a family with its dual row and is involutive.  Every set is closed
 under adding positive semidefinite matrices, which is also what makes
-the strictness margin computable by bisection along A - t*Id: if
-A - t*Id is still a member then every Frobenius perturbation of size t
-keeps membership, so t certifies the distance to the complement.
+the strictness margin computable along the ray A - t*Id: if A - t*Id is
+still a member then every Frobenius perturbation of size t keeps
+membership, so t certifies the distance to the complement.  The angle
+falls monotonically along the ray, so its boundary is a root of the real
+polynomial Im(e^{-i c} det(I0 + i(A - t*Id))) (degree n for the spatial
+sets, n + 1 for the space-time ones), checked by two membership
+evaluations.
 
 The fuzzers are deterministic given (trials, seed) and shard their
 trials into fixed-size blocks with per-shard child seeds, so a thread
@@ -30,6 +34,7 @@ import numpy as np
 
 from .angles import (
     EPS_SINGULAR,
+    _ray_boundary,
     phi_lifted_lsc_batch,
     phi_lifted_usc,
     phi_lifted_usc_batch,
@@ -141,27 +146,43 @@ def dual_of(spec):
 def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
     """Certified lower bound on dist(A, complement), or None for non-members.
 
-    Bisects along A - t*Id; the returned t has member(A - t*Id) verified,
-    and positivity of the set under psd additions turns that into a
-    Frobenius-ball certificate of the same radius.
+    Brackets the boundary along A - t*Id by doubling, then takes it from
+    the polynomial root of ``angles._ray_boundary`` with two certifying
+    evaluations (bisection only where they do not bracket it).  The
+    returned t has member(A - t*Id) verified, and member(A - t'*Id) fails
+    for some t' at most ``bisect_tol`` above it; positivity of the set
+    under psd additions turns that into a Frobenius-ball certificate of
+    the same radius.
     """
     A = check_hermitian(A, name="A")
-    if not member(spec, A, eps):
-        return None
+    threshold = spec.threshold
     eye = np.eye(A.shape[0])
+
+    def angle(t):
+        return member_angle(spec, A - t * eye, eps)
+
     lo, hi = 0.0, 1.0
-    while member(spec, A - hi * eye, eps):
-        lo = hi
+    phi_lo = angle(lo)
+    if phi_lo < threshold:
+        return None
+    phi_hi = angle(hi)
+    while phi_hi >= threshold:
+        lo, phi_lo = hi, phi_hi
         hi *= 2.0
         if hi > 1e8:
             raise RuntimeError("strict_margin bracket failed to close")
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if member(spec, A - mid * eye, eps):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        phi_hi = angle(hi)
+    return _ray_boundary(
+        angle,
+        _twisted(spec, A),
+        np.ones(A.shape[0]),
+        threshold,
+        lo,
+        hi,
+        phi_lo,
+        bisect_tol,
+        spatial=spec.space == SPATIAL,
+    )
 
 
 # Deterministic sampling and the fuzz harness.

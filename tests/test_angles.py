@@ -8,6 +8,8 @@ import pytest
 
 from dhymgeo.angles import (
     REGULAR,
+    _level_roots,
+    _ray_boundary,
     SINGULAR_LOWER,
     SINGULAR_UPPER,
     classify_singular,
@@ -324,3 +326,84 @@ class TestUscConsistency:
             ]
             assert errs[0] > errs[1] > errs[2]
             assert errs[2] < 1e-5
+
+
+def plain_bisection(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False):
+    """Reference for _ray_boundary: bisection alone, same contract."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if angle(mid) >= c:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ray_bracket(angle, c):
+    lo, hi = -1.0, 1.0
+    while angle(lo) < c:
+        lo *= 2.0
+    while angle(hi) >= c:
+        hi *= 2.0
+    return lo, hi
+
+
+class TestRayBoundary:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_bisection_in_regime(self, m, scale):
+        rng = np.random.default_rng(int(100 * m + 10 * scale))
+        tol = 1e-10
+        for _ in range(25):
+            H0 = random_spacetime(rng, m - 1, scale)
+            D = np.diag(rng.uniform(0.1, 300.0, m))
+            c = (m - 2 + rng.uniform(0.02, 0.98)) * math.pi / 2
+
+            def angle(v):
+                return phi_lifted_usc(H0 - v * D).value
+
+            lo, hi = ray_bracket(angle, c)
+            phi_lo = angle(lo)
+            v = _ray_boundary(angle, H0, np.diag(D), c, lo, hi, phi_lo, tol)
+            assert abs(v - plain_bisection(angle, H0, D, c, lo, hi, phi_lo, tol)) <= tol
+            assert angle(v - tol) >= c
+            assert angle(v + 2 * tol) < c
+
+    def test_roots_are_the_level_crossings(self):
+        # every root of q is real and phi~ sits on a level c + k pi there
+        rng = np.random.default_rng(27)
+        for m in (2, 3):
+            H0 = random_spacetime(rng, m - 1)
+            d = rng.uniform(0.5, 2.0, m)
+            c = (m - 1.5) * math.pi / 2
+            roots = _level_roots(H0, d, c, spatial=False)
+            assert len(roots) == m
+            for r in roots:
+                k = (phi_lifted_usc(H0 - (r - 1e-7) * np.diag(d)).value - c) / math.pi
+                assert abs(k - round(k)) < 1e-5
+
+    @pytest.mark.parametrize("b", [0.0, 1e-11, 1e-6])
+    @pytest.mark.parametrize("d", [(1.0, 1.0), (266.0, 64.0)], ids=["unit", "grid"])
+    def test_near_singular_set(self, b, d):
+        # with b = 0 the ray meets S where its corner vanishes; with a unit
+        # diagonal the probes then fall inside the singular band and
+        # bisection finishes from the bracket they narrowed
+        d = np.array(d)
+        H0 = np.array([[0.3, b * np.exp(-0.7j)], [b * np.exp(0.7j), 2.0]])
+        c = 1.2
+        evals = [0]
+
+        def angle(v):
+            evals[0] += 1
+            return phi_lifted_usc(H0 - v * np.diag(d)).value
+
+        lo, hi = ray_bracket(angle, c)
+        phi_lo = angle(lo)
+        evals[0] = 0
+        tol = 1e-10
+        v = _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, tol)
+        fallback = b < 1e-10 and d[0] == 1.0
+        assert (evals[0] > 2) == fallback
+        ref = plain_bisection(angle, H0, d, c, lo, hi, phi_lo, tol)
+        assert abs(v - ref) <= tol
+        assert angle(v) >= c and angle(v + tol) < c

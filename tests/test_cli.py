@@ -207,6 +207,7 @@ class TestGeodesicCommand:
         assert float(grep(out, "perron_check")) <= 1e-9
         assert grep(out, "check_perron") == "pass"
         assert grep(out, "stop_reason") == "projected"
+        assert grep(out, "guard_sweep") == "0"
         assert "note:" not in err
 
     def test_unconverged_run_fails_perron_check(self, capsys, tmp_path):
@@ -239,6 +240,9 @@ class TestGeodesicCommand:
         assert code == 0
         assert grep(out, "status") == "pass"
         assert "note: relaxation did not contract" in err
+        sweep = int(grep(out, "guard_sweep"))
+        assert sweep > int(grep(out, "plain_sweeps"))
+        assert f"plain sweeps from sweep {sweep}" in err
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
     def test_mode_flag_and_determinism(self, capsys, mode):

@@ -1,6 +1,8 @@
 """Tests for barriers, jets, the Perron update, and the sweep solver."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from dhymgeo.geodesic import (
     strictify,
     validate_slices,
 )
-from dhymgeo.geometry import TorusGeometry, angle_field
+from dhymgeo.geometry import TorusGeometry, angle_field, select_branch
 from dhymgeo.angles import phi_lifted_usc
 from dhymgeo.subequations import Branch, SPACETIME, SubeqSpec, strict_margin
+
+from test_angles import plain_bisection
 
 
 def reduced_geom(nx=16, a0=3.0):
@@ -172,6 +176,72 @@ class TestJets:
         assert H[1, 0] == 1 + 2j
         assert H[0, 1] == 1 - 2j
         assert np.allclose(H, H.conj().T)
+
+
+def psi_problem(n, nt=7):
+    """A problem with a psi_alpha background: full n = 1 on 8 x 8 or n = 2 on 8^4."""
+    if n == 1:
+        geom = TorusGeometry(n=1, grid=(8, 8), alpha0=[[3.0]], psi_alpha=np.zeros((8, 8)))
+        co = geom.coordinates()
+        geom.psi_alpha = 0.03 * np.cos(2 * math.pi * co["x1"]) * np.sin(2 * math.pi * co["y1"])
+    else:
+        geom = TorusGeometry(
+            n=2, grid=(8,) * 4, alpha0=np.diag([1.5, 2.0]), psi_alpha=np.zeros((8,) * 4)
+        )
+        co = geom.coordinates()
+        geom.psi_alpha = 0.02 * np.cos(2 * math.pi * (co["x1"] + co["y2"])) + 0.01 * np.sin(
+            2 * math.pi * (co["x2"] - co["y1"])
+        )
+    zero = geom.zeros()
+    branch = select_branch(geom, require_regime=True)
+    return GeodesicProblem(
+        geom=geom, phi1=zero, phi2=zero + 0.1, branch=branch, nt=nt, check_two_init=False
+    )
+
+
+class TestPointJet:
+    @pytest.mark.parametrize("grid", ["reduced-n1", "full-n1", "n2"])
+    def test_equals_interior_jets_on_seam(self, grid):
+        pb = small_problem() if grid == "reduced-n1" else psi_problem(1 if grid == "full-n1" else 2)
+        rng = np.random.default_rng(60)
+        U = 0.1 * rng.standard_normal((pb.nt,) + pb.geom.grid)
+        H, shape = interior_jets(pb, U)
+        H = H.reshape(shape + H.shape[-2:])
+        # every combination of the two seam indices and one inner index
+        per_axis = [(0, g - 1, 3) for g in pb.geom.grid]
+        points = list(itertools.product(*per_axis))
+        for it in (1, pb.nt - 2):
+            for ix in points:
+                jet = assemble_jet(pb, U, it, ix)
+                assert np.array_equal(jet.matrix(), H[(it - 1,) + ix]), (it, ix)
+
+    def test_negative_index_wraps(self):
+        pb = psi_problem(1)
+        U = 0.1 * np.random.default_rng(61).standard_normal((pb.nt,) + pb.geom.grid)
+        assert np.array_equal(
+            assemble_jet(pb, U, 2, (-1, -8)).matrix(), assemble_jet(pb, U, 2, (7, 0)).matrix()
+        )
+
+    @pytest.mark.parametrize(
+        "ix", [(), (3,), (3, 4, 5), (8, 0), (0, 8), (-9, 0), (3, -9)], ids=str
+    )
+    def test_bad_index_raises(self, ix):
+        pb = psi_problem(1)
+        bars = build_barriers(pb)
+        U = bars.lower.copy()
+        with pytest.raises(PreconditionError):
+            assemble_jet(pb, U, 2, ix)
+        with pytest.raises(PreconditionError):
+            perron_update(pb, U, 2, ix, bars.lower, bars.upper)
+
+    def test_bad_index_raises_reduced(self):
+        pb = small_problem()
+        U = build_barriers(pb).lower
+        for ix in ((16,), (-17,), (1, 2)):
+            with pytest.raises(PreconditionError):
+                assemble_jet(pb, U, 2, ix)
+            with pytest.raises(PreconditionError):
+                perron_update(pb, U, 2, ix)
 
 
 class TestHarmonicResidual:
@@ -338,6 +408,86 @@ class TestPerronUpdate:
             W[it + dit, (ix + dix) % 16] += 1e-2
             shifts.append(perron_update(pb, W, it, (ix,), bars.lower, bars.upper) - base)
         assert min(shifts) < -1e-8 and max(shifts) > 1e-8
+
+
+def random_grid(pb, seed):
+    bars = build_barriers(pb)
+    rng = np.random.default_rng(seed)
+    U = bars.lower + rng.uniform(0.2, 0.8) * (bars.upper - bars.lower)
+    U[1:-1] += 0.01 * rng.standard_normal(U[1:-1].shape)
+    return U, bars
+
+
+def counted(fn, box):
+    def wrapper(*args, **kw):
+        box[0] += 1
+        return fn(*args, **kw)
+
+    return wrapper
+
+
+class TestPerronRoot:
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_plain_bisection(self, n, seed):
+        pb = small_problem() if n == 1 else psi_problem(2, nt=5)
+        U, bars = random_grid(pb, seed)
+        rng = np.random.default_rng(seed)
+        it = int(rng.integers(1, pb.nt - 1))
+        ix = tuple(int(rng.integers(0, g)) for g in pb.geom.grid)
+        v = perron_update(pb, U, it, ix, bars.lower, bars.upper)
+        with mock.patch.object(geodesic, "_ray_boundary", plain_bisection):
+            ref = perron_update(pb, U, it, ix, bars.lower, bars.upper)
+        tol = pb.bisect_tol
+        assert abs(v - ref) <= tol
+        # the ray contract, on jets assembled at the shifted values
+        c = pb.branch.c
+        for shift, expect in ((-tol, True), (2 * tol, False)):
+            W = U.copy()
+            W[(it,) + ix] = v + shift
+            assert (phi_lifted_usc(assemble_jet(pb, W, it, ix).matrix()).value >= c) == expect
+
+    def test_four_angle_evaluations(self):
+        for pb in (small_problem(), psi_problem(2, nt=5)):
+            U, bars = random_grid(pb, 62)
+            box = [0]
+            with mock.patch.object(geodesic, "phi_lifted_usc", counted(phi_lifted_usc, box)):
+                for it, ix in ((1, (0,) * len(pb.geom.grid)), (pb.nt - 2, (3,) * len(pb.geom.grid))):
+                    box[0] = 0
+                    perron_update(pb, U, it, ix, bars.lower, bars.upper)
+                    assert box[0] == 4
+
+    @pytest.mark.parametrize("bump", [0.0, 4e-13])
+    def test_singular_point(self, bump):
+        # linear in t and constant along x: b = 0, and udotdot = 0 at the
+        # current value, so the ray meets S there; the bump makes |b| about
+        # 1e-11, inside the singular band
+        pb = small_problem()
+        t = pb.t_grid.reshape(-1, 1)
+        U = np.broadcast_to(0.1 * t, (pb.nt,) + pb.geom.grid).copy()
+        for it in (1, 4, 7):
+            W = U.copy()
+            W[it + 1, 6] += bump
+            v = perron_update(pb, W, it, (5,))
+            assert abs(assemble_jet(pb, W, it, (5,)).b[0]) == pytest.approx(23.1 * bump, rel=0.01)
+            with mock.patch.object(geodesic, "_ray_boundary", plain_bisection):
+                ref = perron_update(pb, W, it, (5,))
+            assert abs(v - ref) <= pb.bisect_tol
+            assert v == pytest.approx(U[it, 5], abs=1e-9)
+
+    def test_wrong_root_falls_back_to_bisection(self):
+        from dhymgeo import angles
+
+        true_roots = angles._level_roots
+        pb = psi_problem(2, nt=5)
+        U, bars = random_grid(pb, 63)
+        it, ix = 2, (1, 7, 0, 4)
+        v = perron_update(pb, U, it, ix, bars.lower, bars.upper)
+        for skew in (1e-3, -1e-3, 1e-9):
+            with mock.patch.object(
+                angles, "_level_roots", lambda *a, **k: true_roots(*a, **k) + skew
+            ):
+                assert abs(perron_update(pb, U, it, ix, bars.lower, bars.upper) - v) <= pb.bisect_tol
 
 
 def _roll_updates(m, U):

@@ -1,10 +1,12 @@
 """Tests for Dirichlet-set membership, margins, duality, and the fuzzers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dhymgeo import angles, subequations
 from dhymgeo.subequations import (
     SPACETIME,
     SPATIAL,
@@ -20,6 +22,7 @@ from dhymgeo.subequations import (
     strict_margin,
 )
 
+from test_angles import plain_bisection
 from test_linalg import random_hermitian
 
 
@@ -106,6 +109,110 @@ class TestStrictMargin:
             E = random_hermitian(rng, 2)
             E *= 0.99 * m / np.linalg.norm(E)
             assert member(spec, A + E)
+
+
+def margin_and_reference(spec, A):
+    m = strict_margin(spec, A)
+    with mock.patch.object(subequations, "_ray_boundary", plain_bisection):
+        ref = strict_margin(spec, A)
+    return m, ref
+
+
+def probe_count(spec, A):
+    """Angle evaluations strict_margin makes after its bracket."""
+    box = [0]
+    real = subequations._ray_boundary
+
+    def counted(angle, *args, **kw):
+        def count(t):
+            box[0] += 1
+            return angle(t)
+
+        return real(count, *args, **kw)
+
+    with mock.patch.object(subequations, "_ray_boundary", counted):
+        strict_margin(spec, A)
+    return box[0]
+
+
+def assert_certified(spec, A, m, tol=1e-10):
+    eye = np.eye(A.shape[0])
+    assert member(spec, A - m * eye)
+    assert not member(spec, A - (m + tol) * eye)
+
+
+class TestStrictMarginRoot:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_plain_bisection(self, n):
+        rng = np.random.default_rng(39 + n)
+        certified = 0
+        for _ in range(50):
+            spec = spacetime_spec((n - 1 + rng.uniform(0.02, 0.98)) * math.pi / 2, n)
+            A = random_hermitian(rng, n + 1) + rng.uniform(0.0, 3.0) * np.eye(n + 1)
+            m, ref = margin_and_reference(spec, A)
+            if ref is None:
+                assert m is None
+                continue
+            certified += 1
+            assert abs(m - ref) <= 1e-10
+            assert_certified(spec, A, m)
+            eye = np.eye(n + 1)
+            assert member(spec, A - (m - 1e-10) * eye)
+            assert not member(spec, A - (m + 2e-10) * eye)
+        assert certified >= 10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SubeqSpec(space=SPATIAL, branch=Branch(c=-math.pi / 4, n=2)),
+            SubeqSpec(space=SPATIAL, branch=Branch(c=0.6, n=2), dual=True),
+            spacetime_spec(math.pi / 4, 1, dual=True),
+            spacetime_spec(-0.5, 1),
+            spacetime_spec(0.3, 2, twist=np.diag([0.5, -0.2])),
+        ],
+        ids=lambda s: f"{s.kind}-{s.threshold:.3g}",
+    )
+    def test_skips_higher_levels(self, spec):
+        # the angle at t = 0 lies above threshold + pi, so the ray first
+        # crosses that level: its smallest root is not the boundary
+        rng = np.random.default_rng(37)
+        m_dim = spec.matrix_dim
+        A = 0.3 * random_hermitian(rng, m_dim) + 6.0 * np.eye(m_dim)
+        assert member_angle(spec, A) > spec.threshold + math.pi
+        m, ref = margin_and_reference(spec, A)
+        assert abs(m - ref) <= 1e-10
+        assert_certified(spec, A, m)
+        X = subequations._twisted(spec, A)
+        roots = angles._level_roots(X, np.ones(m_dim), spec.threshold, spec.space == SPATIAL)
+        assert roots[roots > 0][0] < m - 0.1
+        # the skipped root costs nothing: the two probes certify the boundary
+        assert probe_count(spec, A) == 2
+
+    @pytest.mark.parametrize("b", [0.0, 1e-11])
+    def test_near_singular_set(self, b):
+        # A - t Id meets the singular band at t = 0.3: the probes land
+        # inside it and bisection finishes from the narrowed bracket
+        spec = spacetime_spec(1.2, 1)
+        A = np.array([[0.3, b * np.exp(-0.4j)], [b * np.exp(0.4j), 2.0]])
+        m, ref = margin_and_reference(spec, A)
+        assert abs(m - ref) <= 1e-10
+        assert_certified(spec, A, m)
+        assert m == pytest.approx(0.3, abs=1e-8)
+
+    def test_wrong_root_still_certified(self):
+        true_roots = angles._level_roots
+        rng = np.random.default_rng(38)
+        spec = spacetime_spec(0.75 * math.pi, 2)
+        A = random_hermitian(rng, 3) + 2.0 * np.eye(3)
+        m = strict_margin(spec, A)
+        assert m is not None and m > 0.1
+        for skew in (1e-2, -1e-2, 1e-9):
+            with mock.patch.object(
+                angles, "_level_roots", lambda *a, **k: true_roots(*a, **k) + skew
+            ):
+                wrong = strict_margin(spec, A)
+            assert abs(wrong - m) <= 1e-10
+            assert_certified(spec, A, wrong)
 
 
 class TestDuality:
