@@ -21,12 +21,12 @@ non-negative real part, and lies in [-m*pi/2, m*pi/2].  On the singular
 set S (first row and column of A vanish) the determinant of I0 + i*A is
 zero and the angle jumps by pi; the upper/lower semicontinuous
 extensions there are +-pi/2 + theta(A+), where A+ drops the first row
-and column.  ``phi_regular`` evaluates this eigenvalue definition directly
-and is kept as the reference.
+and column.
 
-The batch lifts evaluate phi from one Hermitian eigensolve of A+.  Write
-A = [[a11, a1^*], [a1, A+]] and A+ = V diag(lambda) V^*, w = |V^* a1|^2.
-The Schur complement of the corner (``linalg.bordered_det``) gives
+Every lift, scalar or batched, evaluates phi from one Hermitian
+eigensolve of A+.  Write A = [[a11, a1^*], [a1, A+]] and
+A+ = V diag(lambda) V^*, w = |V^* a1|^2.  The Schur complement of the
+corner (``linalg.bordered_det``) gives
 
     det(I0 + i*A) = det(I + i*A+) * sigma,
     sigma = i*a11 + a1^* (I + i*A+)^{-1} a1,
@@ -43,6 +43,9 @@ two differ by a locally constant multiple of 2*pi off S.  S has real
 codimension 2n + 1 >= 3 among Hermitian matrices, so its complement is
 connected, and at diag(1, 0, ..., 0) both lifts equal pi/2; they agree
 everywhere off S.  The same theta(A+) gives the singular extensions.
+Near S this form stays accurate, while the eigenvalues mu_i of the
+non-normal I0 + i*A lose accuracy; the eigenvalue definition is kept only
+in ``realpart_spectrum_check`` and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ SINGULAR_LOWER = "singular-lower"
 # Relative half-width of the numerical band around the singular set S.
 EPS_SINGULAR = 1e-10
 
-# Below this (relative) eigenvalue modulus of I0 + i*A, or modulus of the
-# Schur complement sigma in the batch lifts, the principal arg is meaningless
-# and the semicontinuous extension takes over.
+# Below this modulus of the Schur complement sigma, relative to 1 + ||A||,
+# arg(sigma) is meaningless: the lift takes its semicontinuous extension and
+# phi_regular raises.
 _TINY_EIG = 1e-14
 
 # Matrices per block of the batch lift: bounds its working set, whatever the
@@ -90,7 +93,8 @@ class LiftedAngle:
 
 
 class DegenerateAngleError(ValueError):
-    """An eigenvalue of I0 + i*A sits at the origin; the regular arg is undefined."""
+    """det(I0 + i*A) vanishes numerically (sigma below _TINY_EIG * (1 + ||A||));
+    phi(A) is undefined there and only its semicontinuous extensions exist."""
 
 
 def theta(H):
@@ -112,12 +116,6 @@ def modulus_r(H):
     return float(np.sqrt(np.prod(1.0 + lam * lam)))
 
 
-def spatial_block(A):
-    """Drop the time row and column of a space-time matrix."""
-    A = np.asarray(A)
-    return A[..., 1:, 1:]
-
-
 def degenerate_identity(m, eta=0.0):
     """diag(eta, 1, ..., 1) of size m."""
     d = np.ones(m)
@@ -125,71 +123,92 @@ def degenerate_identity(m, eta=0.0):
     return np.diag(d)
 
 
+def _sq_sum(X):
+    """Sum of squares of a real (k, ...) array over all but the first axis."""
+    X = X.reshape(X.shape[0], -1)
+    return np.einsum("ki,ki->k", X, X)
+
+
+def _sq_norm(Z):
+    """Squared norm of each complex Z[k], from its real and imaginary views
+    so that no complex temporary of Z's size is made."""
+    return _sq_sum(Z.real) + _sq_sum(Z.imag)
+
+
+def _band(A, scale, eps):
+    """(|a11|, ||a1||, threshold, in band) over a (k, m, m) stack: the band
+    |a11| <= eps*scale and ||a1|| <= eps*scale around S, scale = 1 + ||A||."""
+    a11 = np.abs(A[:, 0, 0].real)
+    a1_norm = np.sqrt(_sq_norm(A[:, 1:, 0]))
+    thr = eps * scale
+    return a11, a1_norm, thr, (a11 <= thr) & (a1_norm <= thr)
+
+
+def _lift(A, scale, eps, sign):
+    """(values, singular, theta(A+)) of the usc (sign +1) or lsc (sign -1) lift.
+
+    A is a self-adjoint (k, m, m) stack and scale its 1 + ||A||; see the
+    module docstring.  The singular mask is the band of ``_band`` plus the
+    points where sigma vanishes numerically.
+    """
+    a11 = A[:, 0, 0].real
+    lam, V = np.linalg.eigh(A[:, 1:, 1:])
+    p = np.matmul(np.conj(A[:, None, 1:, 0]), V)[:, 0, :]
+    w = np.square(p.real) + np.square(p.imag)
+    d = 1.0 / (1.0 + lam * lam)
+    wd = w * d
+    re_sigma = np.sum(wd, axis=-1)
+    im_sigma = a11 - np.sum(wd * lam, axis=-1)
+    theta_plus = np.sum(np.arctan(lam), axis=-1)
+    singular = _band(A, scale, eps)[3]
+    singular |= np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale
+    vals = theta_plus + np.where(
+        singular, sign * 0.5 * math.pi, np.arctan2(im_sigma, re_sigma)
+    )
+    return vals, singular, theta_plus
+
+
 def classify_singular(A, eps=EPS_SINGULAR):
     """Membership in the band |a11| <= eps*(1+||A||) and ||a1|| <= eps*(1+||A||)."""
     A = check_hermitian(A, name="A")
-    thr = eps * (1.0 + float(np.linalg.norm(A)))
-    a11 = abs(float(A[0, 0].real))
-    a1_norm = float(np.linalg.norm(A[1:, 0]))
+    a11, a1_norm, thr, in_band = _band(A[None], 1.0 + float(np.linalg.norm(A)), eps)
     return SingularityReport(
-        in_S=(a11 <= thr and a1_norm <= thr), a11=a11, a1_norm=a1_norm, threshold=thr
+        in_S=bool(in_band[0]), a11=float(a11[0]), a1_norm=float(a1_norm[0]), threshold=thr
     )
 
 
-def _spacetime_eigs(A, eta=0.0):
-    B = degenerate_identity(A.shape[0], eta) + 1j * A
-    return np.linalg.eigvals(B)
+def _lift_one(A, eps, sign):
+    """(LiftedAngle, theta(A+)) of one matrix, validated once, lifted as a stack of one."""
+    A = check_hermitian(A, name="A")
+    vals, singular, theta_plus = _lift(A[None], 1.0 + float(np.linalg.norm(A)), eps, sign)
+    tag = SINGULAR_UPPER if sign > 0 else SINGULAR_LOWER
+    return LiftedAngle(float(vals[0]), tag if singular[0] else REGULAR), float(theta_plus[0])
 
 
-def phi_regular(A, tol=1e-12):
-    """Lifted space-time angle sum(arg(mu_i)) for A outside the singular set.
+def phi_regular(A):
+    """Lifted space-time angle phi(A) for A off the singular set.
 
-    Raises ValueError when an eigenvalue of I0 + i*A has real part below
-    -tol (impossible for genuine Hermitian input) and DegenerateAngleError
-    when one sits at the origin, which only happens on the numerical
+    The lifts' core with an empty band, so off the band it equals
+    ``phi_lifted_usc(A).value`` exactly.  Raises DegenerateAngleError where
+    det(I0 + i*A) vanishes numerically, which only happens on the numerical
     boundary of the singular set.
     """
-    A = check_hermitian(A, name="A")
-    mu = _spacetime_eigs(A)
-    scale = 1.0 + float(np.linalg.norm(A))
-    if float(np.min(np.abs(mu))) < _TINY_EIG * scale:
+    lifted, _ = _lift_one(A, 0.0, +1)
+    if not lifted.regular:
         raise DegenerateAngleError(
-            "eigenvalue of I0 + i*A at the origin; use the semicontinuous extension"
+            "det(I0 + i*A) vanishes; use the semicontinuous extension"
         )
-    if float(np.min(mu.real)) < -tol * scale:
-        raise ValueError(
-            f"eigenvalue with negative real part {np.min(mu.real):.3e}: "
-            "input is not a valid space-time Hermitian matrix"
-        )
-    args = np.arctan2(mu.imag, np.maximum(mu.real, 0.0))
-    return float(np.sum(args))
-
-
-def _theta_spatial(block):
-    if block.size == 0:
-        return 0.0
-    return theta(block)
-
-
-def _lifted(A, eps, sign):
-    A = check_hermitian(A, name="A")
-    if not classify_singular(A, eps).in_S:
-        try:
-            return LiftedAngle(phi_regular(A), REGULAR)
-        except DegenerateAngleError:
-            pass
-    tag = SINGULAR_UPPER if sign > 0 else SINGULAR_LOWER
-    return LiftedAngle(sign * 0.5 * math.pi + _theta_spatial(spatial_block(A)), tag)
+    return lifted.value
 
 
 def phi_lifted_usc(A, eps=EPS_SINGULAR):
     """Upper semicontinuous lift: phi(A) off S, +pi/2 + theta(A+) on S."""
-    return _lifted(A, eps, +1)
+    return _lift_one(A, eps, +1)[0]
 
 
 def phi_lifted_lsc(A, eps=EPS_SINGULAR):
     """Lower semicontinuous lift: phi(A) off S, -pi/2 + theta(A+) on S."""
-    return _lifted(A, eps, -1)
+    return _lift_one(A, eps, -1)[0]
 
 
 def _level_roots(A, d, c, spatial):
@@ -263,6 +282,11 @@ def eta_squeeze(A, eta):
     return theta(0.5 * (As + As.conj().T))
 
 
+def _spacetime_eigs(A, eta=0.0):
+    B = degenerate_identity(A.shape[0], eta) + 1j * A
+    return np.linalg.eigvals(B)
+
+
 def realpart_spectrum_check(A, eta=0.0):
     """min over i of Re(mu_i) for the eigenvalues of diag(eta,1,..,1) + i*A."""
     A = check_hermitian(A, name="A")
@@ -271,8 +295,8 @@ def realpart_spectrum_check(A, eta=0.0):
 
 def slice_angle_gap(A, eps=EPS_SINGULAR):
     """phi_lifted_usc(A) - theta(A+); always within [-pi/2, pi/2]."""
-    A = check_hermitian(A, name="A")
-    return phi_lifted_usc(A, eps).value - _theta_spatial(spatial_block(A))
+    lifted, theta_plus = _lift_one(A, eps, +1)
+    return lifted.value - theta_plus
 
 
 # Batched variants over stacks of matrices; these back the fuzz suites and
@@ -291,46 +315,10 @@ def modulus_r_batch(H):
     return np.sqrt(np.prod(1.0 + lam * lam, axis=-1))
 
 
-def _sq_sum(X):
-    """Sum of squares of a real (k, ...) array over all but the first axis."""
-    X = X.reshape(X.shape[0], -1)
-    return np.einsum("ki,ki->k", X, X)
-
-
-def _sq_norm(Z):
-    """Squared norm of each complex Z[k], from its real and imaginary views
-    so that no complex temporary of Z's size is made."""
-    return _sq_sum(Z.real) + _sq_sum(Z.imag)
-
-
 def _skew_defect(A):
     """||A - A^*|| of each matrix of a (k, m, m) stack."""
     At = A.swapaxes(-2, -1)
     return np.sqrt(_sq_sum(A.real - At.real) + _sq_sum(A.imag + At.imag))
-
-
-def _lifted_block(A, eps, sign, tol):
-    """(values, singular) for one (k, m, m) block; see the module docstring."""
-    a11 = A[:, 0, 0].real
-    a1 = A[:, 1:, 0]
-    scale = 1.0 + np.sqrt(_sq_norm(A))
-    if np.any(_skew_defect(A) > tol * scale):
-        raise ValueError("batch input is not self-adjoint")
-    lam, V = np.linalg.eigh(A[:, 1:, 1:])
-    p = np.matmul(np.conj(a1)[:, None, :], V)[:, 0, :]
-    w = np.square(p.real) + np.square(p.imag)
-    d = 1.0 / (1.0 + lam * lam)
-    wd = w * d
-    re_sigma = np.sum(wd, axis=-1)
-    im_sigma = a11 - np.sum(wd * lam, axis=-1)
-    theta_plus = np.sum(np.arctan(lam), axis=-1)
-    thr = eps * scale
-    singular = (np.abs(a11) <= thr) & (np.sqrt(_sq_norm(a1)) <= thr)
-    singular |= np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale
-    vals = theta_plus + np.where(
-        singular, sign * 0.5 * math.pi, np.arctan2(im_sigma, re_sigma)
-    )
-    return vals, singular
 
 
 def _phi_lifted_batch(A, eps, sign, tol=1e-12):
@@ -345,9 +333,11 @@ def _phi_lifted_batch(A, eps, sign, tol=1e-12):
     singular = np.empty(flat.shape[0], dtype=bool)
     for start in range(0, flat.shape[0], _BLOCK):
         stop = start + _BLOCK
-        vals[start:stop], singular[start:stop] = _lifted_block(
-            np.asarray(flat[start:stop], dtype=complex), eps, sign, tol
-        )
+        block = np.asarray(flat[start:stop], dtype=complex)
+        scale = 1.0 + np.sqrt(_sq_norm(block))
+        if np.any(_skew_defect(block) > tol * scale):
+            raise ValueError("batch input is not self-adjoint")
+        vals[start:stop], singular[start:stop], _ = _lift(block, scale, eps, sign)
     return vals.reshape(A.shape[:-2]), singular.reshape(A.shape[:-2])
 
 

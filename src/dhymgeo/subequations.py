@@ -109,29 +109,35 @@ class SubeqSpec:
         return -self.branch.c if self.dual else self.branch.c
 
 
-def _twisted(spec, A):
-    A = check_hermitian(A, name="A")
+def _twist(spec, X):
+    """X with spec's signed twist added, over a (..., m, m) stack: to the
+    whole matrix for spatial sets, to the spatial block for space-time ones.
+    Raises ValueError when m is not spec's matrix dimension."""
     m = spec.matrix_dim
-    if A.shape[0] != m:
-        raise ValueError(f"expected a {m}x{m} matrix for {spec.kind}, got {A.shape[0]}")
-    T = spec.twist
-    if T is None:
-        return A
+    if X.shape[-1] != m:
+        raise ValueError(f"expected a {m}x{m} matrix for {spec.kind}, got {X.shape[-1]}")
+    if spec.twist is None:
+        return X
     sign = -1.0 if spec.dual else 1.0
-    X = A.astype(complex).copy()
+    X = X.astype(complex)
     if spec.space == SPATIAL:
-        X += sign * T
+        X += sign * spec.twist
     else:
-        X[1:, 1:] += sign * T
+        X[..., 1:, 1:] += sign * spec.twist
     return X
+
+
+def _angle(spec, A, eps):
+    """The angle of an already validated A under spec's twist."""
+    X = _twist(spec, A)
+    if spec.space == SPATIAL:
+        return theta(X)
+    return phi_lifted_usc(X, eps).value
 
 
 def member_angle(spec, A, eps=EPS_SINGULAR):
     """The angle value compared against spec.threshold by ``member``."""
-    X = _twisted(spec, A)
-    if spec.space == SPATIAL:
-        return theta(X)
-    return phi_lifted_usc(X, eps).value
+    return _angle(spec, check_hermitian(A, name="A"), eps)
 
 
 def member(spec, A, eps=EPS_SINGULAR):
@@ -159,7 +165,7 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
     eye = np.eye(A.shape[0])
 
     def angle(t):
-        return member_angle(spec, A - t * eye, eps)
+        return _angle(spec, A - t * eye, eps)
 
     lo, hi = 0.0, 1.0
     phi_lo = angle(lo)
@@ -174,7 +180,7 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
         phi_hi = angle(hi)
     return _ray_boundary(
         angle,
-        _twisted(spec, A),
+        _twist(spec, A),
         np.ones(A.shape[0]),
         threshold,
         lo,
@@ -350,15 +356,9 @@ def positivity_fuzz(spec, trials, seed, tol=1e-10, eps=EPS_SINGULAR, threads=Non
     angle(A + P) >= angle(A) - tol and the membership implication.
     """
     m = spec.matrix_dim
-    sign = -1.0 if spec.dual else 1.0
 
     def angle_values(X):
-        if spec.twist is not None:
-            X = X.copy()
-            if spec.space == SPATIAL:
-                X += sign * spec.twist
-            else:
-                X[:, 1:, 1:] += sign * spec.twist
+        X = _twist(spec, X)
         if spec.space == SPATIAL:
             return theta_batch(X)
         vals, _ = phi_lifted_usc_batch(X, eps)

@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dhymgeo import angles
 from dhymgeo.angles import (
     REGULAR,
     _level_roots,
@@ -124,16 +126,20 @@ class TestPhiRegular:
         assert phi_regular(A) == pytest.approx(3 * math.pi / 4, abs=1e-12)
 
     def test_eig_oracle(self):
+        # the definition sum(arg(mu_i)) over the eigenvalues of I0 + i*A,
+        # independent of the Schur-complement form every lift evaluates
         rng = np.random.default_rng(15)
-        for _ in range(200):
-            A = random_spacetime(rng, int(rng.integers(1, 3)))
+        for k in range(1800):
+            n, scale = 1 + k % 3, (0.1, 1.0, 10.0)[k // 3 % 3]
+            A = random_spacetime(rng, n, scale)
             if classify_singular(A).in_S:
                 continue
-            m = A.shape[0]
-            I0 = np.diag(np.r_[0.0, np.ones(m - 1)])
+            I0 = np.diag(np.r_[0.0, np.ones(n)])
             mu = np.linalg.eigvals(I0 + 1j * A)
             assert np.min(mu.real) > -1e-12
-            assert phi_regular(A) == pytest.approx(float(np.sum(np.angle(mu))), abs=1e-10)
+            expected = float(np.sum(np.angle(mu)))
+            assert phi_regular(A) == pytest.approx(expected, abs=1e-10)
+            assert phi_lifted_usc(A).value == pytest.approx(expected, abs=1e-10)
 
     def test_batch_rejects_corrupt_input(self):
         bad = np.zeros((1, 2, 2), dtype=complex)
@@ -220,6 +226,9 @@ class TestLiftedExtensions:
         vals, singular = phi_lifted_usc_batch(A)
         assert not singular.any()
         assert np.max(np.abs(vals - expected)) < 1e-13
+        for k in range(count):
+            assert abs(phi_lifted_usc(A[k]).value - expected[k]) < 1e-13
+            assert abs(phi_regular(A[k]) - expected[k]) < 1e-13
 
     def test_batch_working_set_bounded(self):
         rng = np.random.default_rng(28)
@@ -232,6 +241,22 @@ class TestLiftedExtensions:
         finally:
             tracemalloc.stop()
         assert peak < A.nbytes
+
+
+class TestValidatesOnce:
+    @pytest.mark.parametrize(
+        "fn", [phi_lifted_usc, phi_lifted_lsc, phi_regular, slice_angle_gap],
+        ids=lambda fn: fn.__name__,
+    )
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_one_check_per_call(self, fn, singular):
+        A = random_spacetime(np.random.default_rng(29), 2)
+        if singular:
+            A[0, 0] = 1e-12
+            A[1:, 0] = A[0, 1:] = 1e-12
+        with mock.patch.object(angles, "check_hermitian", wraps=angles.check_hermitian) as check:
+            fn(A)
+        assert check.call_count == 1
 
 
 class TestEtaSqueeze:

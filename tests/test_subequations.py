@@ -111,6 +111,28 @@ class TestStrictMargin:
             assert member(spec, A + E)
 
 
+class TestStrictMarginValidation:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            spacetime_spec(math.pi / 4, 1),
+            spacetime_spec(0.3, 2, twist=np.diag([0.5, -0.2])),
+            SubeqSpec(space=SPATIAL, branch=Branch(c=0.6, n=2), dual=True),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_validates_once(self, spec):
+        # one check of A, although the bracket and the root take at least
+        # four angle evaluations
+        rng = np.random.default_rng(36)
+        A = random_hermitian(rng, spec.matrix_dim) + 3.0 * np.eye(spec.matrix_dim)
+        with mock.patch.object(
+            subequations, "check_hermitian", wraps=subequations.check_hermitian
+        ) as check:
+            assert strict_margin(spec, A) is not None
+        assert check.call_count == 1
+
+
 def margin_and_reference(spec, A):
     m = strict_margin(spec, A)
     with mock.patch.object(subequations, "_ray_boundary", plain_bisection):
@@ -182,7 +204,7 @@ class TestStrictMarginRoot:
         m, ref = margin_and_reference(spec, A)
         assert abs(m - ref) <= 1e-10
         assert_certified(spec, A, m)
-        X = subequations._twisted(spec, A)
+        X = subequations._twist(spec, A)
         roots = angles._level_roots(X, np.ones(m_dim), spec.threshold, spec.space == SPATIAL)
         assert roots[roots > 0][0] < m - 0.1
         # the skipped root costs nothing: the two probes certify the boundary
