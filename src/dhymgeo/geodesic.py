@@ -19,18 +19,30 @@ admissible set is a ray (-inf, v*].  For n = 1 the boundary solves
 
     (udotdot(v)) (cos c + lambda(v) sin c) = |b|^2 sin c
 
-which is quadratic in v; the smaller root is v*.  One vectorized kernel
-evaluates it on whole blocks of t rows.  The Jacobi sweep applies it to
-the whole interior at once; the Gauss-Seidel sweep updates four colours
-in turn (t parity times the spatial checkerboard), a true Gauss-Seidel
-ordering that reaches the same fixed point as Jacobi in about half the
-sweeps.  The generic path (any n), ``perron_update``, brackets v* between
-the barriers and takes it from the polynomial Im(e^{-ic} det(I0 + iH(v))),
-of degree n + 1 in v: in the regime (n-1)pi/2 < c < n pi/2 no higher level
-c + k pi is crossed first, so v* is its smallest root in the bracket.  Two
-evaluations of the lifted angle at the root -+ bisect_tol/2 certify it;
-bisection takes over from the narrowed bracket only where they do not
-(on or near the singular set).
+which is quadratic in v; the smaller root is v*.  With a and g the
+weights of the centre value in udotdot and lambda, the kernel solves it
+for the offset w = v - m0 from the t-average m0 = (u(t+1) + u(t-1)) / 2,
+where udotdot vanishes:
+
+    w^2 - rho w - kappa = 0,    kappa = |b|^2 / (a g) >= 0,
+
+with rho from the branch and the spatial second differences about m0.
+Its discriminant rho^2 + 4 kappa is a sum of squares, so rounding cannot
+make it negative and nothing is clamped, and the root is taken in the
+form that does not cancel.  (The same quadratic in v has coefficients
+near 1e4 on a 32-point grid; its discriminant cancels two terms near 1e9
+and loses about 1e-14 in v, a floor on which the sweeps would stall.)
+One vectorized kernel evaluates it on whole blocks of t rows.  The Jacobi
+sweep applies it to the whole interior at once; the Gauss-Seidel sweep
+updates four colours in turn (t parity times the spatial checkerboard), a
+true Gauss-Seidel ordering that reaches the same fixed point as Jacobi in
+about half the sweeps.  The generic path (any n), ``perron_update``,
+brackets v* between the barriers and takes it from the polynomial
+Im(e^{-ic} det(I0 + iH(v))), of degree n + 1 in v: in the regime
+(n-1)pi/2 < c < n pi/2 no higher level c + k pi is crossed first, so v* is
+its smallest root in the bracket.  Two evaluations of the lifted angle at
+the root -+ bisect_tol/2 certify it; bisection takes over from the
+narrowed bracket only where they do not (on or near the singular set).
 
 Both sweeps are over-relaxed once their contraction is measured, which
 keeps the fixed point (the Perron solution) and cuts the sweep count by
@@ -325,15 +337,17 @@ def perron_update(problem, U, it, ix, lower=None, upper=None):
     return _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, problem.bisect_tol)
 
 
-def _periodic_pair(op, a, axis, out):
-    """out[i] = op(a[i+1], a[i-1]) along ``axis`` with periodic wrap-around."""
+def _pair_slices(axis):
+    """(out, plus, minus) slice triples with out[i] from a[i+1] and a[i-1]
+    along ``axis``, periodic: the interior, then the two wrapped ends."""
     def at(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    op(a[at(2, None)], a[at(None, -2)], out=out[at(1, -1)])
-    op(a[at(1, 2)], a[at(-1, None)], out=out[at(None, 1)])
-    op(a[at(None, 1)], a[at(-2, -1)], out=out[at(-1, None)])
-    return out
+    return (
+        (at(1, -1), at(2, None), at(None, -2)),
+        (at(None, 1), at(1, 2), at(-1, None)),
+        (at(-1, None), at(None, 1), at(-2, -1)),
+    )
 
 
 class _SweepN1:
@@ -343,20 +357,30 @@ class _SweepN1:
         geom = problem.geom
         if geom.n != 1:
             raise ValueError("fast sweep path requires n = 1")
-        self.cosc = math.cos(problem.branch.c)
-        self.sinc = math.sin(problem.branch.c)
-        self.ht = problem.ht
-        self.a, gs = _center_coeffs(problem)
-        self.g = float(gs[0])
-        self.alpha0 = float(geom.alpha0[0, 0].real)
+        cosc = math.cos(problem.branch.c)
+        sinc = math.sin(problem.branch.c)
+        ht = problem.ht
+        a, gs = _center_coeffs(problem)
+        g = float(gs[0])
         psi = geom.psi_alpha if geom.psi_alpha is not None else geom.zeros()
-        self.hess_psi = complex_hessian(geom, psi)[..., 0, 0].real
-        self.lam0 = self.alpha0 + self.hess_psi
-        self.x_axis = 1 + geom.x_axis(0)
-        self.hx = geom.spacings[geom.x_axis(0)]
-        ya = geom.y_axis(0)
-        self.y_axis = None if ya is None else 1 + ya
-        self.hy = None if ya is None else geom.spacings[ya]
+        lam0 = float(geom.alpha0[0, 0].real) + complex_hessian(geom, psi)[..., 0, 0].real
+        # the Perron quadratic in w = v - m0 is w^2 - rho w - kappa = 0 (see
+        # ``updates``); rho0 is the part of rho that does not depend on u
+        self.rho0 = (cosc + sinc * lam0) / (g * sinc)
+        # per spatial axis of a block of t rows: its neighbour slices, the
+        # weight of its second difference in rho, and the weight of its
+        # squared mixed difference in -4 kappa
+        self.axes = []
+        for j in (geom.x_axis(0), geom.y_axis(0)):
+            if j is not None:
+                h = geom.spacings[j]
+                self.axes.append(
+                    (
+                        _pair_slices(1 + j),
+                        1.0 / (4.0 * h * h * g),
+                        -1.0 / ((4.0 * ht * h) ** 2 * a * g),
+                    )
+                )
         # the two checkerboard colours of the torus grid; sizes are even, so
         # periodic neighbours along every axis have the other colour
         parity = np.indices(geom.grid).sum(axis=0) % 2
@@ -374,9 +398,7 @@ class _SweepN1:
     def _buffers(self, shape):
         work = self._work.get(shape)
         if work is None:
-            work = tuple(np.empty(shape) for _ in range(5)) + tuple(
-                np.empty(shape, dtype=bool) for _ in range(2)
-            )
+            work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
             self._work[shape] = work
         return work
 
@@ -384,73 +406,48 @@ class _SweepN1:
         """Closed-form Perron values at every point of the rows ``mid``.
 
         ``up`` and ``dn`` are the rows one t step above and below, as views
-        of the same shape.  The result is a work array that the next call
-        overwrites.
+        of the same shape.  The value is v = m0 + w with m0 = (up + dn) / 2
+        and w the smaller root of w^2 - rho w - kappa, where
+
+            rho = rho0 + sum_h (u(x + e_h) + u(x - e_h) - 2 m0) / (4 h^2 g),
+            kappa = |b|^2 / (a g) >= 0.
+
+        With r = sqrt(rho^2 + 4 kappa) the root is (rho - r) / 2 where
+        rho <= 0 and -2 kappa / (rho + r) where rho > 0, so neither form
+        cancels.  The result is a work array that the next call overwrites.
         """
-        P, L, D, X, T, B1, B2 = self._buffers(mid.shape)
-        # p_udd = (up + dn) / ht^2
-        np.add(up, dn, out=P)
-        np.divide(P, self.ht * self.ht, out=P)
-        # spatial endomorphism with the centre value excluded
-        _periodic_pair(np.add, mid, self.x_axis, L)
-        np.multiply(L, 0.25, out=L)
-        np.divide(L, self.hx * self.hx, out=L)
-        if self.y_axis is not None:
-            _periodic_pair(np.add, mid, self.y_axis, T)
-            np.multiply(T, 0.25, out=T)
-            np.divide(T, self.hy * self.hy, out=T)
-            np.add(L, T, out=L)
-        np.add(self.lam0, L, out=L)
-        # |b|^2 from the centred t derivative
-        np.subtract(up, dn, out=D)
-        np.divide(D, 2.0 * self.ht, out=D)
-        _periodic_pair(np.subtract, D, self.x_axis, X)
-        np.divide(X, 2.0 * self.hx, out=X)
-        if self.y_axis is None:
-            np.multiply(X, 0.25, out=T)
-            np.multiply(T, X, out=X)
-        else:
-            _periodic_pair(np.subtract, D, self.y_axis, T)
-            np.divide(T, 2.0 * self.hy, out=T)
-            np.multiply(X, X, out=X)
+        M, R, D, F, W, positive = self._buffers(mid.shape)
+        np.add(up, dn, out=M)  # 2 m0
+        np.subtract(up, dn, out=D)  # 2 ht u_t
+        for i, (pairs, lam_w, b_w) in enumerate(self.axes):
+            # rho: the second difference along the axis about m0
+            for out, plus, minus in pairs:
+                np.add(mid[plus], mid[minus], out=W[out])
+            np.subtract(W, M, out=W)
+            np.multiply(W, lam_w, out=W)
+            np.add(R if i else self.rho0, W, out=R)
+            # -4 kappa: the squared mixed difference along the axis
+            T = W if i else F
+            for out, plus, minus in pairs:
+                np.subtract(D[plus], D[minus], out=T[out])
             np.multiply(T, T, out=T)
-            np.add(X, T, out=X)
-            np.multiply(X, 0.25, out=X)
-        np.multiply(X, self.sinc, out=X)  # K
-        # P0 = cos c + p_lam sin c
-        np.multiply(L, self.sinc, out=L)
-        np.add(L, self.cosc, out=L)
-        q2 = self.a * self.g * self.sinc
-        # q1 = -(a P0 + g sin c p_udd)
-        np.multiply(L, self.a, out=D)
-        np.multiply(P, self.g * self.sinc, out=T)
-        np.add(D, T, out=D)
-        np.negative(D, out=D)
-        # q0 = p_udd P0 - K
-        np.multiply(P, L, out=P)
-        np.subtract(P, X, out=P)
-        # s = sqrt(max(q1^2 - 4 q2 q0, 0))
-        np.multiply(D, D, out=L)
-        np.multiply(P, 4.0 * q2, out=X)
-        np.subtract(L, X, out=L)
-        np.maximum(L, 0.0, out=L)
-        np.sqrt(L, out=L)
-        # smaller root, directly and through the product of the roots
-        np.negative(D, out=X)
-        np.subtract(X, L, out=X)
-        np.divide(X, 2.0 * q2, out=X)
-        np.negative(D, out=T)
-        np.add(T, L, out=T)
-        np.divide(T, 2.0 * q2, out=T)
-        np.multiply(T, q2, out=T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(P, T, out=L)
-        np.less_equal(D, 0.0, out=B1)
-        np.abs(T, out=P)
-        np.greater(P, 1e-300, out=B2)
-        np.logical_and(B1, B2, out=B1)
-        np.copyto(X, L, where=B1)
-        return X
+            np.multiply(T, b_w, out=T)
+            if i:
+                np.add(F, T, out=F)
+        # r = sqrt(rho^2 + 4 kappa): a sum of squares, never negative
+        np.multiply(R, R, out=D)
+        np.subtract(D, F, out=D)
+        np.sqrt(D, out=D)
+        # 2 w, directly where rho <= 0 and through the product of the roots
+        # where rho > 0
+        np.add(R, D, out=W)
+        np.subtract(R, D, out=D)
+        np.greater(R, 0.0, out=positive)
+        np.divide(F, W, out=D, where=positive)
+        # v = (2 m0 + 2 w) / 2
+        np.add(M, D, out=D)
+        np.multiply(D, 0.5, out=D)
+        return D
 
     def max_change(self, new, old):
         """Largest |new - old| over the interior; ``old`` may be ``scratch``."""

@@ -1,5 +1,6 @@
 """Tests for barriers, jets, the Perron update, and the sweep solver."""
 
+import decimal
 import itertools
 import math
 from unittest import mock
@@ -27,7 +28,7 @@ from dhymgeo.geodesic import (
     strictify,
     validate_slices,
 )
-from dhymgeo.geometry import TorusGeometry, angle_field, select_branch
+from dhymgeo.geometry import TorusGeometry, angle_field, complex_hessian, select_branch
 from dhymgeo.angles import phi_lifted_usc
 from dhymgeo.subequations import Branch, SPACETIME, SubeqSpec, strict_margin
 
@@ -490,34 +491,68 @@ class TestPerronRoot:
                 assert abs(perron_update(pb, U, it, ix, bars.lower, bars.upper) - v) <= pb.bisect_tol
 
 
-def _roll_updates(m, U):
-    """Reference Perron values of every interior point, written with np.roll
-    in the kernel's operation order."""
-    mid = U[1:-1]
-    lam = 0.25 * (np.roll(mid, -1, m.x_axis) + np.roll(mid, 1, m.x_axis)) / (m.hx * m.hx)
-    if m.y_axis is not None:
-        lam += 0.25 * (np.roll(mid, -1, m.y_axis) + np.roll(mid, 1, m.y_axis)) / (m.hy * m.hy)
-    p_lam = m.alpha0 + m.hess_psi + lam
-    udot = (U[2:] - U[:-2]) / (2.0 * m.ht)
-    dx = (np.roll(udot, -1, m.x_axis) - np.roll(udot, 1, m.x_axis)) / (2.0 * m.hx)
-    if m.y_axis is None:
-        b2 = 0.25 * dx * dx
-    else:
-        dy = (np.roll(udot, -1, m.y_axis) - np.roll(udot, 1, m.y_axis)) / (2.0 * m.hy)
-        b2 = 0.25 * (dx * dx + dy * dy)
-    p_udd = (U[2:] + U[:-2]) / (m.ht * m.ht)
-    K = b2 * m.sinc
-    P0 = m.cosc + p_lam * m.sinc
-    q2 = m.a * m.g * m.sinc
-    q1 = -(m.a * P0 + m.g * m.sinc * p_udd)
-    q0 = p_udd * P0 - K
-    s = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
-    r_small_direct = (-q1 - s) / (2.0 * q2)
-    denom = q2 * ((-q1 + s) / (2.0 * q2))
+def _roll_updates(pb, U):
+    """Reference Perron values of every interior point: the re-centred
+    quadratic written with np.roll, in the kernel's operation order."""
+    geom = pb.geom
+    sinc = math.sin(pb.branch.c)
+    a, gs = geodesic._center_coeffs(pb)
+    g = float(gs[0])
+    psi = geom.psi_alpha if geom.psi_alpha is not None else geom.zeros()
+    lam0 = float(geom.alpha0[0, 0].real) + complex_hessian(geom, psi)[..., 0, 0].real
+    rho = (math.cos(pb.branch.c) + sinc * lam0) / (g * sinc)
+    up, mid, dn = U[2:], U[1:-1], U[:-2]
+    m2 = up + dn
+    dt = up - dn
+    k4 = 0.0  # -4 kappa
+    for j in (geom.x_axis(0), geom.y_axis(0)):
+        if j is None:
+            continue
+        h, ax = geom.spacings[j], 1 + j
+        rho = rho + ((np.roll(mid, -1, ax) + np.roll(mid, 1, ax)) - m2) * (1.0 / (4.0 * h * h * g))
+        mixed = np.roll(dt, -1, ax) - np.roll(dt, 1, ax)
+        k4 = k4 + (mixed * mixed) * (-1.0 / ((4.0 * pb.ht * h) ** 2 * a * g))
+    r = np.sqrt(rho * rho - k4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_small_prod = q0 / denom
-    stable = (q1 <= 0.0) & (np.abs(denom) > 1e-300)
-    return np.where(stable, r_small_prod, r_small_direct)
+        w2 = np.where(rho > 0.0, k4 / (rho + r), rho - r)
+    return (m2 + w2) * 0.5
+
+
+def _decimal_update(pb, U, it, ix):
+    """Perron value at one point from the quadratic in v itself,
+    q2 v^2 + q1 v + q0 = 0, in 40-digit decimal arithmetic from the float
+    inputs: the textbook formula, whose cancellation 40 digits absorb."""
+    D = decimal.Decimal
+    geom = pb.geom
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ht = D(pb.ht)
+        sinc, cosc = D(math.sin(pb.branch.c)), D(math.cos(pb.branch.c))
+        psi = geom.psi_alpha if geom.psi_alpha is not None else geom.zeros()
+        lam = D(float(geom.alpha0[0, 0].real) + complex_hessian(geom, psi)[ix][0, 0].real)
+        up, mid, dn = U[it + 1], U[it], U[it - 1]
+        g = b2 = D(0)
+        for j in (geom.x_axis(0), geom.y_axis(0)):
+            if j is None:
+                continue
+            h = D(geom.spacings[j])
+            g += D("0.5") / (h * h)
+            plus, minus = list(ix), list(ix)
+            plus[j] = (ix[j] + 1) % geom.grid[j]
+            minus[j] = (ix[j] - 1) % geom.grid[j]
+            plus, minus = tuple(plus), tuple(minus)
+            lam += D("0.25") * (D(mid[plus]) + D(mid[minus])) / (h * h)
+            udot_plus = (D(up[plus]) - D(dn[plus])) / (2 * ht)
+            udot_minus = (D(up[minus]) - D(dn[minus])) / (2 * ht)
+            b2 += ((udot_plus - udot_minus) / (2 * h)) ** 2
+        b2 *= D("0.25")
+        a = 2 / (ht * ht)
+        p_udd = (D(up[ix]) + D(dn[ix])) / (ht * ht)
+        P0 = cosc + lam * sinc
+        q2 = a * g * sinc
+        q1 = -(a * P0 + g * sinc * p_udd)
+        q0 = p_udd * P0 - b2 * sinc
+        return float((-q1 - (q1 * q1 - 4 * q2 * q0).sqrt()) / (2 * q2))
 
 
 def full_problem(n=8, nt=7, **kw):
@@ -540,9 +575,32 @@ class TestSweepKernel:
         bars = build_barriers(pb)
         rng = np.random.default_rng(55)
         U = bars.lower + rng.random((pb.nt,) + pb.geom.grid) * (bars.upper - bars.lower)
-        machine = _SweepN1(pb)
-        new = machine.updates(U[2:], U[1:-1], U[:-2])
-        assert np.array_equal(new, _roll_updates(machine, U))
+        new = _SweepN1(pb).updates(U[2:], U[1:-1], U[:-2])
+        assert np.array_equal(new, _roll_updates(pb, U))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: small_problem(nx=32, nt=17), lambda: full_problem(n=32, nt=25)],
+        ids=["reduced", "full"],
+    )
+    def test_matches_decimal_quadratic_on_rough_state(self, make):
+        # on these grids the textbook discriminant q1^2 - 4 q2 q0 is a
+        # difference of two terms near 1e9; the re-centred one is a sum of
+        # squares
+        from dhymgeo.geodesic import _SweepN1
+
+        pb = make()
+        bars = build_barriers(pb)
+        rng = np.random.default_rng(8)
+        U = 0.5 * (bars.lower + bars.upper)
+        U[1:-1] += 1e-3 * rng.standard_normal(U[1:-1].shape)
+        new = _SweepN1(pb).updates(U[2:], U[1:-1], U[:-2])
+        err = 0.0
+        for _ in range(300):
+            it = int(rng.integers(1, pb.nt - 1))
+            ix = tuple(int(rng.integers(0, g)) for g in pb.geom.grid)
+            err = max(err, abs(new[(it - 1,) + ix] - _decimal_update(pb, U, it, ix)))
+        assert err <= 1e-15
 
     @pytest.mark.parametrize("mode", [JACOBI, GAUSS_SEIDEL])
     def test_sweeps_allocate_no_grid_arrays(self, mode):
@@ -649,6 +707,12 @@ class TestSolve:
         Ug, rep_g = solve(pb_g)
         assert np.max(np.abs(Uj - Ug)) < 1e-9
         assert rep_g.iterations < 0.6 * rep_j.iterations
+
+    def test_stops_on_projected_below_the_old_rounding_floor(self):
+        # a kernel that cancels in its discriminant leaves updates at about
+        # 5e-14 here, so this solve used to end on the plateau
+        U, rep = solve(full_problem(n=32, nt=17, mode=JACOBI, sweep_tol=1e-12))
+        assert rep.stop_reason == "projected"
 
     def test_modes_agree_full_grid(self):
         Uj, rep_j = solve(full_problem(mode=JACOBI, sweep_tol=1e-12))
