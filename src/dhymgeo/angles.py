@@ -23,20 +23,42 @@ zero and the angle jumps by pi; the upper/lower semicontinuous
 extensions there are +-pi/2 + theta(A+), where A+ drops the first row
 and column.
 
-Every lift, scalar or batched, evaluates phi from one Hermitian
-eigensolve of A+.  Write A = [[a11, a1^*], [a1, A+]] and
-A+ = V diag(lambda) V^*, w = |V^* a1|^2.  The Schur complement of the
-corner (``linalg.bordered_det``) gives
+Every lift, scalar or batched, evaluates phi from the Schur complement of
+the corner (``linalg.bordered_det``).  Write A = [[a11, a1^*], [a1, A+]];
+then
 
     det(I0 + i*A) = det(I + i*A+) * sigma,
-    sigma = i*a11 + a1^* (I + i*A+)^{-1} a1,
+    sigma = i*a11 + a1^* (I + i*A+)^{-1} a1.
+
+When A+ is larger than 2x2 it comes from one Hermitian eigensolve,
+A+ = V diag(lambda) V^*, w = |V^* a1|^2:
+
     Re sigma = sum_k w_k / (1 + lambda_k^2) >= 0,
     Im sigma = a11 - sum_k w_k lambda_k / (1 + lambda_k^2),
 
-and phi(A) = theta(A+) + atan2(Im sigma, Re sigma).  The identity is exact:
-sigma vanishes only on S (Re sigma = 0 forces a1 = 0, then Im sigma = a11),
-and det(I + i*A+) never vanishes, each factor 1 + i*lambda_k having its
-argument arctan(lambda_k) in (-pi/2, pi/2).  So theta(A+) + arg(sigma) is
+which for a 1x1 block A+ = (lambda) is read off the entries, w = |a1|^2.
+A 2x2 block needs no eigensolver either.  With D = det(I + i*A+) =
+(1 - det A+) + i*tr A+,
+
+    theta(A+) = atan2(tr A+, 1 - det A+),
+    sigma = i*a11 + a1^* adj(I + i*A+) a1 / D,
+
+the first exact because arctan(lambda_1) + arctan(lambda_2) lies in
+(-pi, pi), where it is the principal argument of D.  The division is well
+conditioned: |D|^2 = prod(1 + lambda_k^2) >= 1.  For the unit vector
+u = a1 / ||a1|| and g = adj(A+) u, the numerator times conj(D) is
+1 + |g|^2 + i*(u^* g Re D - Im D): its real part is a sum of squares, so
+Re sigma >= 0 holds in floating point too.  Dividing by |D| (``np.hypot``)
+twice instead of by |D|^2, which grows like ||A||^4, and scaling a1 to a
+unit vector keep every intermediate near the size of the entries: like
+the eigensolve, the closed form stays finite for entries up to about
+1e153, where 1 + ||A|| itself overflows.  a1 = 0 gives sigma = i*a11.
+
+Either way phi(A) = theta(A+) + atan2(Im sigma, Re sigma).  The identity
+is exact: sigma vanishes only on S (Re sigma = 0 forces a1 = 0, then
+Im sigma = a11), and det(I + i*A+) never vanishes, each factor
+1 + i*lambda_k having its argument arctan(lambda_k) in (-pi/2, pi/2).
+So theta(A+) + arg(sigma) is
 a continuous lift of arg det(I0 + i*A) off S, and so is sum_i arg(mu_i),
 since there no mu_i vanishes or leaves the closed right half-plane.  The
 two differ by a locally constant multiple of 2*pi off S.  S has real
@@ -144,23 +166,73 @@ def _band(A, scale, eps):
     return a11, a1_norm, thr, (a11 <= thr) & (a1_norm <= thr)
 
 
+def _abs2(z):
+    """|z|^2 as re^2 + im^2, elementwise over arrays or of a Python number."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _schur_2x2(a11, a1_norm, x, y, p, q, r):
+    """(Re sigma, Im sigma, theta(A+)) for a 2x2 spatial block, in closed form.
+
+    A = [[a11, conj(x), conj(y)], [x, p, conj(r)], [y, r, q]] with
+    a1_norm = ||(x, y)||; the arguments are arrays (one entry per matrix)
+    or Python numbers (one matrix), and the arithmetic is the same for both.
+    See the module docstring for the formulas and their scaling.
+    """
+    tr = p + q
+    re_d = 1.0 - (p * q - _abs2(r))
+    theta_plus = np.arctan2(tr, re_d)
+    mod = np.hypot(re_d, tr)
+    inv = 1.0 / (a1_norm + (a1_norm == 0.0))
+    x = x * inv
+    y = y * inv
+    g1 = q * x - r.conjugate() * y
+    g2 = p * y - r * x
+    n2 = _abs2(x) + _abs2(y)
+    quad = (x.conjugate() * g1 + y.conjugate() * g2).real
+    t = a1_norm / mod
+    re_sigma = (n2 + (_abs2(g1) + _abs2(g2))) * t * t
+    im_sigma = a11 + (quad * (re_d / mod) - n2 * (tr / mod)) * t * a1_norm
+    return re_sigma, im_sigma, theta_plus
+
+
 def _lift(A, scale, eps, sign):
     """(values, singular, theta(A+)) of the usc (sign +1) or lsc (sign -1) lift.
 
     A is a self-adjoint (k, m, m) stack and scale its 1 + ||A||; see the
-    module docstring.  The singular mask is the band of ``_band`` plus the
-    points where sigma vanishes numerically.
+    module docstring.  No eigensolver runs for a 1x1 or 2x2 spatial block
+    A+.  A 1x1 block is its own eigenvalue with eigenvector 1, so the
+    eigensolve's arithmetic is kept and gives the same bits.  A 2x2 block
+    goes through ``_schur_2x2``: theta(A+) = atan2(tr, 1 - det) is exact for
+    two eigenvalues, and sigma is divided by |det(I + i*A+)| >= 1 twice
+    over the unit vector a1 / ||a1||, so nothing grows like ||A||^4.  A
+    larger block takes one batched ``np.linalg.eigh``.  The singular mask is
+    the band of ``_band`` plus the points where sigma vanishes numerically.
     """
     a11 = A[:, 0, 0].real
-    lam, V = np.linalg.eigh(A[:, 1:, 1:])
-    p = np.matmul(np.conj(A[:, None, 1:, 0]), V)[:, 0, :]
-    w = np.square(p.real) + np.square(p.imag)
-    d = 1.0 / (1.0 + lam * lam)
-    wd = w * d
-    re_sigma = np.sum(wd, axis=-1)
-    im_sigma = a11 - np.sum(wd * lam, axis=-1)
-    theta_plus = np.sum(np.arctan(lam), axis=-1)
-    singular = _band(A, scale, eps)[3]
+    _, a1_norm, _, singular = _band(A, scale, eps)
+    if A.shape[-1] == 3:
+        parts = (
+            a11, a1_norm, A[:, 1, 0], A[:, 2, 0], A[:, 1, 1].real, A[:, 2, 2].real, A[:, 2, 1]
+        )
+        if A.shape[0] == 1:
+            # one matrix: Python numbers skip numpy's per-call overhead
+            parts = [v.item() for v in parts]
+        re_sigma, im_sigma, theta_plus = _schur_2x2(*parts)
+        theta_plus = np.atleast_1d(theta_plus)
+    else:
+        if A.shape[-1] == 2:  # eigenvalue a22, eigenvector 1
+            lam = A[:, 1:, 1].real
+            p = A[:, 1:, 0]
+        else:
+            lam, V = np.linalg.eigh(A[:, 1:, 1:])
+            p = np.matmul(np.conj(A[:, None, 1:, 0]), V)[:, 0, :]
+        w = np.square(p.real) + np.square(p.imag)
+        d = 1.0 / (1.0 + lam * lam)
+        wd = w * d
+        re_sigma = np.sum(wd, axis=-1)
+        im_sigma = a11 - np.sum(wd * lam, axis=-1)
+        theta_plus = np.sum(np.arctan(lam), axis=-1)
     singular |= np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale
     vals = theta_plus + np.where(
         singular, sign * 0.5 * math.pi, np.arctan2(im_sigma, re_sigma)

@@ -20,6 +20,8 @@ matrix norm with an absolute floor of 1e-12.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERM_TOL = 1e-12
@@ -40,10 +42,20 @@ def _as_square(M, name="matrix", cap=SPACETIME_DIM_CAP):
     return M
 
 
+def _finite_norm(M, name):
+    """||M||_F; ValueError when it is not finite (a nan or inf entry, or overflow),
+    since every relative tolerance here is measured against it."""
+    norm = float(np.linalg.norm(M))
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} has a non-finite entry or norm")
+    return norm
+
+
 def check_hermitian(H, tol=HERM_TOL, name="H", cap=SPACETIME_DIM_CAP):
-    """Validate self-adjointness to ``tol * max(1, ||H||_F)`` and return H as complex."""
+    """Validate finiteness and self-adjointness to ``tol * max(1, ||H||_F)``;
+    return H as complex."""
     H = _as_square(H, name, cap).astype(complex)
-    scale = max(1.0, float(np.linalg.norm(H)))
+    scale = max(1.0, _finite_norm(H, name))
     defect = float(np.linalg.norm(H - H.conj().T))
     if defect > tol * scale:
         raise ValueError(
@@ -53,11 +65,10 @@ def check_hermitian(H, tol=HERM_TOL, name="H", cap=SPACETIME_DIM_CAP):
 
 
 def check_symmetric(N, tol=HERM_TOL, name="N"):
-    """Validate a real symmetric matrix of even dimension 2n."""
+    """Validate a finite real symmetric matrix of even dimension 2n."""
     N = _as_square(N, name, 2 * SPACETIME_DIM_CAP)
-    if np.iscomplexobj(N) and float(np.linalg.norm(N.imag)) > tol * max(
-        1.0, float(np.linalg.norm(N))
-    ):
+    norm = _finite_norm(N, name)
+    if np.iscomplexobj(N) and float(np.linalg.norm(N.imag)) > tol * max(1.0, norm):
         raise ValueError(f"{name} must be real")
     N = N.real.astype(float)
     if N.shape[0] % 2 != 0:

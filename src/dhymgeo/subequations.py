@@ -269,21 +269,28 @@ def _convexity_candidates(rng, c, m, count):
 
 
 def _sample_members_spacetime(rng, c, m, count, eps, max_rounds=200):
-    """Rejection-sample ``count`` space-time matrices with usc angle >= c."""
+    """Rejection-sample ``count`` space-time matrices with usc angle >= c.
+
+    Returns (members, drawn, accepted): the first ``count`` members, the
+    number of candidates drawn and how many of them had angle >= c (members
+    beyond ``count`` in the last round are counted but not kept).
+    """
     out = []
     got = 0
     drawn = 0
+    accepted = 0
     for _ in range(max_rounds):
         chunk = max(4 * (count - got), 512)
         A = _convexity_candidates(rng, c, m, chunk)
         vals, _ = phi_lifted_usc_batch(A, eps)
         keep = A[vals >= c]
         drawn += chunk
+        accepted += keep.shape[0]
         if keep.shape[0]:
             out.append(keep[: count - got])
             got += min(keep.shape[0], count - got)
         if got >= count:
-            return np.concatenate(out, axis=0), drawn
+            return np.concatenate(out, axis=0), drawn, accepted
         if drawn > 20000 and got / drawn < 1e-3:
             break
     raise RuntimeError(
@@ -314,7 +321,7 @@ def convexity_fuzz(
 
     def worker(seedseq, size):
         rng = np.random.default_rng(seedseq)
-        members, drawn = _sample_members_spacetime(rng, c, m, 2 * size, eps)
+        members, drawn, accepted = _sample_members_spacetime(rng, c, m, 2 * size, eps)
         A0, A1 = members[:size], members[size : 2 * size]
         t = rng.uniform(0.0, 1.0, size=size)
         mid = (1.0 - t)[:, None, None] * A0 + t[:, None, None] * A1
@@ -325,7 +332,7 @@ def convexity_fuzz(
             (A0[i], A1[i], float(t[i]), float(gaps[i]))
             for i in np.nonzero(bad)[0][:2]
         ]
-        return int(np.sum(bad)), float(np.min(gaps)), 2 * size, drawn, wit
+        return int(np.sum(bad)), float(np.min(gaps)), accepted, drawn, wit
 
     results = _run_shards(worker, trials, seed, threads)
     violations = sum(r[0] for r in results)

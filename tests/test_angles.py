@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,15 @@ class TestPhiRegular:
             assert phi_regular(A) == pytest.approx(expected, abs=1e-10)
             assert phi_lifted_usc(A).value == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        A = np.array([[1.0, bad], [bad, 2.0]])
+        for fn in (phi_lifted_usc, phi_lifted_lsc, phi_regular, theta):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(A)
+        with pytest.raises(ValueError, match="non-finite"):
+            theta_symmetric(np.diag([1.0, bad]))
+
     def test_batch_rejects_corrupt_input(self):
         bad = np.zeros((1, 2, 2), dtype=complex)
         bad[0, 0, 0] = 5j  # not self-adjoint
@@ -241,6 +251,153 @@ class TestLiftedExtensions:
         finally:
             tracemalloc.stop()
         assert peak < A.nbytes
+
+
+def exact_lift(A):
+    """theta(A+) + arg(sigma) of one regular 3x3 matrix: tr A+, 1 - det A+ and
+    sigma evaluated exactly from its float entries, each rounded once."""
+    a11, p, q = (Fraction(float(A[k, k].real)) for k in range(3))
+    (xr, xi), (yr, yi), (rr, ri) = (
+        (Fraction(float(z.real)), Fraction(float(z.imag))) for z in (A[1, 0], A[2, 0], A[2, 1])
+    )
+    tr = p + q
+    re_d = 1 - (p * q - rr * rr - ri * ri)
+    # a1^* adj(I + i*A+) a1 = |x|^2 + |y|^2 + i*(q|x|^2 + p|y|^2 - 2 Re(conj(x r) y))
+    n_re = xr * xr + xi * xi + yr * yr + yi * yi
+    n_im = q * (xr * xr + xi * xi) + p * (yr * yr + yi * yi) - 2 * (
+        (xr * rr - xi * ri) * yr + (xr * ri + xi * rr) * yi
+    )
+    mod2 = re_d * re_d + tr * tr
+    re_sigma = (n_re * re_d + n_im * tr) / mod2
+    im_sigma = a11 + (n_im * re_d - n_re * tr) / mod2
+    return math.atan2(float(tr), float(re_d)) + math.atan2(float(im_sigma), float(re_sigma))
+
+
+def eigh_lift(A):
+    """The lift of a regular (k, m, m) stack through one eigensolve of A+."""
+    lam, V = np.linalg.eigh(A[:, 1:, 1:])
+    wd = np.abs(np.einsum("ki,kij->kj", np.conj(A[:, 1:, 0]), V)) ** 2 / (1.0 + lam * lam)
+    re_sigma = np.sum(wd, axis=-1)
+    im_sigma = A[:, 0, 0].real - np.sum(wd * lam, axis=-1)
+    return np.sum(np.arctan(lam), axis=-1) + np.arctan2(im_sigma, re_sigma)
+
+
+def lift_parts(A):
+    """(values, singular, theta(A+)) of the usc lift of a (k, m, m) stack."""
+    scale = 1.0 + np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
+    return angles._lift(A.astype(complex), scale, angles.EPS_SINGULAR, +1)
+
+
+class TestClosedForm:
+    """The 1x1 and 2x2 spatial blocks are lifted without an eigensolver."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_eigensolver_for_small_blocks(self, n):
+        rng = np.random.default_rng(40 + n)
+        A = np.stack([random_spacetime(rng, n) for _ in range(8)])
+        A[0, 0, :] = A[0, :, 0] = 0.0
+        calls = [
+            lambda: phi_lifted_usc_batch(A),
+            lambda: phi_lifted_lsc_batch(A),
+            lambda: phi_lifted_usc(A[1]),
+            lambda: slice_angle_gap(A[0]),
+        ]
+        with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
+            for call in calls:
+                if n <= 2:
+                    call()
+                else:
+                    with pytest.raises(AssertionError, match="eigh"):
+                        call()
+
+    def test_exact_reference(self):
+        # Worst error against exact_lift over these draws: 7.7e-15 for the
+        # closed form (batch and scalar alike), 1.4e-14 for the eigensolve
+        # path it replaced.  Both peak on the near-singular rows, where
+        # Im sigma cancels against a11.
+        rng = np.random.default_rng(41)
+        for scale in (0.1, 1.0, 10.0, 25.0, 1e3):
+            rows = []
+            for amp, corner in ((1.0, 1.0), (1e-4, 1.0), (1e-8, 1.0), (1e-12, 1.0), (1e-4, 1e-8)):
+                A = np.stack([random_spacetime(rng, 2, scale) for _ in range(60)])
+                A[:, 1:, 0] *= amp
+                A[:, 0, 1:] *= amp
+                A[:, 0, 0] *= corner
+                A[30:] *= -1.0
+                rows.append(A)
+            A = np.concatenate(rows)
+            vals, singular = phi_lifted_usc_batch(A)
+            assert not singular.any()
+            expected = np.array([exact_lift(a) for a in A])
+            scalar = np.array([phi_lifted_usc(a).value for a in A])
+            assert np.max(np.abs(vals - expected)) < 1e-14
+            assert np.max(np.abs(scalar - expected)) < 1e-14
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_eigenvalues_beyond_1e3(self, sign):
+        # theta(A+) near +-pi, where 1 - det A+ is large and negative
+        rng = np.random.default_rng(42)
+        A = np.stack([random_spacetime(rng, 2) for _ in range(200)])
+        A[:, 1:, 1:] += sign * rng.uniform(1e3, 1e5, size=(200, 1, 1)) * np.eye(2)
+        vals, singular, theta_plus = lift_parts(A)
+        assert not singular.any()
+        assert np.all(sign * theta_plus > math.pi - 2e-3)
+        assert np.max(np.abs(theta_plus - [theta(a[1:, 1:]) for a in A])) < 1e-15
+        assert np.max(np.abs(vals - [exact_lift(a) for a in A])) < 1e-15
+
+    def test_traceless_indefinite_block(self):
+        # tr A+ = 0 and det A+ < 0: theta(A+) is exactly 0
+        rng = np.random.default_rng(43)
+        A = np.stack([random_spacetime(rng, 2) for _ in range(200)])
+        A[:, 2, 2] = -A[:, 1, 1]
+        assert np.all(A[:, 1, 1].real * A[:, 2, 2].real - np.abs(A[:, 2, 1]) ** 2 < 0)
+        vals, _, theta_plus = lift_parts(A)
+        assert np.all(theta_plus == 0.0)
+        assert np.max(np.abs(vals - [exact_lift(a) for a in A])) < 1e-15
+
+    def test_diagonal_block(self):
+        rng = np.random.default_rng(44)
+        A = np.stack([random_spacetime(rng, 2, 10.0) for _ in range(200)])
+        A[:, 1, 2] = A[:, 2, 1] = 0.0
+        lam = A[:, (1, 2), (1, 2)].real
+        b = A[:, 1:, 0]
+        sigma = 1j * A[:, 0, 0].real + np.sum(np.abs(b) ** 2 / (1.0 + 1j * lam), axis=-1)
+        expected = np.sum(np.arctan(lam), axis=-1) + np.angle(sigma)
+        vals, _ = phi_lifted_usc_batch(A)
+        assert np.max(np.abs(vals - expected)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_first_column(self, n):
+        # a1 = 0 gives sigma = i*a11: on S when a11 = 0, else arg(sigma) = +-pi/2
+        rng = np.random.default_rng(45)
+        A = np.stack([random_spacetime(rng, n) for _ in range(30)])
+        A[:, 1:, 0] = A[:, 0, 1:] = 0.0
+        A[:10, 0, 0] = 0.0
+        theta_plus = np.array([theta(a[1:, 1:]) for a in A])
+        usc, singular = phi_lifted_usc_batch(A)
+        lsc, _ = phi_lifted_lsc_batch(A)
+        assert singular[:10].all() and not singular[10:].any()
+        half = 0.5 * math.pi * np.where(singular, 1.0, np.sign(A[:, 0, 0].real))
+        assert np.max(np.abs(usc - (theta_plus + half))) < 1e-15
+        assert np.max(np.abs(lsc - (theta_plus + np.where(singular, -half, half)))) < 1e-15
+        for k in range(30):
+            assert phi_lifted_usc(A[k]).value == usc[k]
+            assert phi_lifted_usc(A[k]).regular == (not singular[k])
+
+    @pytest.mark.parametrize("big", [1e100, 1e140])
+    def test_huge_entries(self, big):
+        # all entries at the scale, and a1 and a11 at the scale over a small A+
+        rng = np.random.default_rng(46)
+        A = np.stack([random_spacetime(rng, 2, big) for _ in range(100)])
+        B = np.stack([random_spacetime(rng, 2) for _ in range(100)])
+        B[:, 0, :] *= big
+        B[:, 1:, 0] *= big
+        for X in (A, B):
+            vals, singular = phi_lifted_usc_batch(X)
+            scalar = np.array([phi_lifted_usc(x).value for x in X])
+            assert np.all(np.isfinite(vals)) and not singular.any()
+            assert np.max(np.abs(vals - eigh_lift(X))) < 1e-12
+            assert np.max(np.abs(scalar - eigh_lift(X))) < 1e-12
 
 
 class TestValidatesOnce:

@@ -57,6 +57,15 @@ class TestAngles:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_matrix_exit_2(self, capsys, tmp_path, bad):
+        mat = tmp_path / "bad.mat"
+        mat.write_text(f"1 {bad}\n{bad} 2\n")
+        code, out, err = run(capsys, "angles", "--matrix", str(mat))
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

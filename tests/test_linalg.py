@@ -6,6 +6,8 @@ import pytest
 from dhymgeo.linalg import (
     bordered_det,
     bordered_matrix,
+    check_hermitian,
+    check_symmetric,
     eig_complex,
     eig_hermitian,
     format_complex_entry,
@@ -68,6 +70,29 @@ class TestIota:
             lam = np.linalg.eigvalsh(H)
             doubled = np.sort(np.repeat(lam, 2))
             assert np.allclose(np.linalg.eigvalsh(iota(H)), doubled, atol=1e-10)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_checks_reject_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_hermitian(np.array([[1.0, bad], [np.conj(bad), 2.0]]))
+        N = np.eye(2, dtype=complex)
+        N[0, 1] = N[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(N)
+
+    def test_checks_reject_overflowing_norm(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                check_hermitian(np.diag([1e200, 1e200]))
+            with pytest.raises(ValueError, match="non-finite"):
+                check_symmetric(np.diag([1e200, 1e200]))
+
+    def test_checks_accept_large_finite(self):
+        H = 1e140 * np.array([[1.0, 1j], [-1j, 2.0]])
+        assert np.array_equal(check_hermitian(H), H)
+        assert np.array_equal(check_symmetric(H.real), H.real)
 
 
 class TestJProject:

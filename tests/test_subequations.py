@@ -304,6 +304,14 @@ class TestConvexityFuzz:
         assert rep.worst < -1e-3
         assert len(rep.witnesses) > 0
 
+    def test_acceptance_rate_counts_every_member_drawn(self):
+        # the negative control's superlevel set holds about 3/4 of the
+        # candidates; counting only the kept pairs capped the rate at 1/4
+        rep = convexity_fuzz(
+            Branch(c=-0.75 * math.pi, n=2), 2000, seed=5, allow_out_of_regime=True
+        )
+        assert rep.details["acceptance_rate"] > 0.5
+
     def test_deterministic_and_thread_invariant(self):
         a = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=11)
         b = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=11)
