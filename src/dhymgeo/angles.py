@@ -396,7 +396,9 @@ def _skew_defect(A):
 def _phi_lifted_batch(A, eps, sign, tol=1e-12):
     """(values, singular) of the usc (sign +1) or lsc (sign -1) lift of a stack.
 
-    Raises ValueError when a matrix is not self-adjoint within tol * (1 + ||A||).
+    Raises ValueError when a matrix has a non-finite entry or norm (its norm
+    overflows from about 1e154), or is not self-adjoint within
+    tol * (1 + ||A||).
     """
     A = np.asarray(A)
     m = A.shape[-1]
@@ -407,6 +409,8 @@ def _phi_lifted_batch(A, eps, sign, tol=1e-12):
         stop = start + _BLOCK
         block = np.asarray(flat[start:stop], dtype=complex)
         scale = 1.0 + np.sqrt(_sq_norm(block))
+        if not np.all(np.isfinite(scale)):
+            raise ValueError("batch input has a non-finite entry or norm")
         if np.any(_skew_defect(block) > tol * scale):
             raise ValueError("batch input is not self-adjoint")
         vals[start:stop], singular[start:stop], _ = _lift(block, scale, eps, sign)

@@ -194,7 +194,7 @@ def cmd_dhym(args):
 
 
 def cmd_geodesic(args):
-    problem, residual_tol = load_problem(args.config, mode_override=args.mode)
+    problem, residual_tol = load_problem(args.config)
     U, report = solve(problem)
     rep = Report()
     rep.add("mode", report.mode)
@@ -226,6 +226,12 @@ def cmd_geodesic(args):
     if report.stop_reason == "plateau":
         print(
             "note: the sweeps stopped at the rounding plateau, before the "
+            "projected distance met sweep_tol",
+            file=sys.stderr,
+        )
+    if report.stop_reason == "max_iters":
+        print(
+            f"note: the sweeps hit max_iters={problem.max_iters} before the "
             "projected distance met sweep_tol",
             file=sys.stderr,
         )
@@ -303,7 +309,6 @@ def build_parser():
 
     p = sub.add_parser("geodesic", help="solve the boundary problem for a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=["gauss-seidel", "jacobi"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_geodesic)
     return parser

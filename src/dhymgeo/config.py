@@ -15,7 +15,7 @@ Layout::
 
     [solver]
     nt = 33
-    mode = jacobi
+    mode = jacobi           ; the only sweep (relaxed Jacobi); may be left out
     sweep_tol = 1e-12
     bisect_tol = 1e-10
     max_iters = 100000
@@ -24,7 +24,8 @@ Layout::
 
 Potential values starting with ``@`` are grid files (header line with the
 axis sizes, then little-endian float64), resolved relative to the config
-file.
+file.  A config that names the removed ``gauss-seidel`` mode is refused
+(PreconditionError, exit 2) rather than run with another solver.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def load_dhym_potential(path, geom):
     return None
 
 
-def load_problem(path, mode_override=None):
+def load_problem(path):
     cp = _read(path)
     geom = load_geometry(path)
     if not cp.has_section("problem"):
@@ -121,7 +122,7 @@ def load_problem(path, mode_override=None):
         sweep_tol=get("sweep_tol", float, 1e-8),
         bisect_tol=get("bisect_tol", float, 1e-10),
         max_iters=get("max_iters", int, 100000),
-        mode=mode_override or get("mode", str, "gauss-seidel"),
+        mode=get("mode", str, "jacobi"),
         check_two_init=get("two_init", bool, True),
     )
     residual_tol = get("residual_tol", float, 1e-5)

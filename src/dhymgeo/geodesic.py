@@ -32,11 +32,12 @@ make it negative and nothing is clamped, and the root is taken in the
 form that does not cancel.  (The same quadratic in v has coefficients
 near 1e4 on a 32-point grid; its discriminant cancels two terms near 1e9
 and loses about 1e-14 in v, a floor on which the sweeps would stall.)
-One vectorized kernel evaluates it on whole blocks of t rows.  The Jacobi
-sweep applies it to the whole interior at once; the Gauss-Seidel sweep
-updates four colours in turn (t parity times the spatial checkerboard), a
-true Gauss-Seidel ordering that reaches the same fixed point as Jacobi in
-about half the sweeps.  The generic path (any n), ``perron_update``,
+One vectorized kernel evaluates it on the whole interior at once, which
+is one Jacobi sweep.  (A four-colour Gauss-Seidel ordering reaches the
+same fixed point in about half the sweeps, but it runs the kernel four
+times a sweep on half the interior each, and on small grids a call costs
+about as much on half the interior as on all of it.)  The generic path
+(any n), ``perron_update``,
 brackets v* between the barriers and takes it from the polynomial
 Im(e^{-ic} det(I0 + iH(v))), of degree n + 1 in v: in the regime
 (n-1)pi/2 < c < n pi/2 no higher level c + k pi is crossed first, so v* is
@@ -44,29 +45,26 @@ its smallest root in the bracket.  Two evaluations of the lifted angle at
 the root -+ bisect_tol/2 certify it; bisection takes over from the
 narrowed bracket only where they do not (on or near the singular set).
 
-Both sweeps are over-relaxed once their contraction is measured, which
+The sweeps are over-relaxed once their contraction is measured, which
 keeps the fixed point (the Perron solution) and cuts the sweep count by
 about the square root.  A solve starts with plain sweeps and measures the
 per-sweep contraction ratio of the largest update over windows of 30
-(Jacobi) or 15 (Gauss-Seidel) sweeps.  When two successive window ratios
-agree, the ratio gives rho, the spectral radius of the linearized Jacobi
-sweep (the Jacobi ratio, or the square root of the Gauss-Seidel one), and
-omega = 2 / (1 + sqrt(1 - rho^2)).  Gauss-Seidel then moves each colour
-to u + omega (T(u) - u) (Young's SOR); Jacobi takes Chebyshev steps
-u+ = u_prev + w_k (T(u) - u_prev) with w_1 = 1, w_2 = 1 / (1 - rho^2 / 2)
-and w_{k+1} = 1 / (1 - rho^2 w_k / 4), which tend to omega (Golub and
-Varga).  Relaxed updates are not monotone, so progress is judged on the
-largest update of each window.  A guard restores the grid at the start of
-relaxation and finishes with plain sweeps when four windows pass without
-a new lowest maximum above rounding level, or an update is not finite.  A
-relaxed solve ends with one window of plain sweeps, which settle the
-rounding noise the weights amplify, and every solve reports the largest
-move of one more plain Jacobi sweep from its result (the Perron check).
+sweeps.  When two successive window ratios agree, the ratio is rho, the
+spectral radius of the linearized Jacobi sweep, and the sweeps take
+Chebyshev steps u+ = u_prev + w_k (T(u) - u_prev) with w_1 = 1,
+w_2 = 1 / (1 - rho^2 / 2) and w_{k+1} = 1 / (1 - rho^2 w_k / 4), which
+tend to omega = 2 / (1 + sqrt(1 - rho^2)) (Golub and Varga).  Relaxed
+updates are not monotone, so progress is judged on the largest update of
+each window.  A guard restores the grid at the start of relaxation and
+finishes with plain sweeps when four windows pass without a new lowest
+maximum above rounding level, or an update is not finite.  A relaxed
+solve ends with one window of plain sweeps, which settle the rounding
+noise the weights amplify, and every solve reports the largest move of
+one more plain sweep from its result (the Perron check).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -89,7 +87,6 @@ from .subequations import Branch
 
 T_TOTAL = math.log(2.0)
 
-GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
 
 # Padding beyond the barrier sandwich for the bracket of the pointwise update.
@@ -118,7 +115,8 @@ class GeodesicProblem:
     ``phi1`` sits at t = 0 (|s| = 1) and ``phi2`` at t = log 2 (|s| = 2).
     Both must be admissible with positive margin and the branch must lie
     in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
-    the width of the certified bracket of a pointwise update.
+    the width of the certified bracket of a pointwise update.  ``mode``
+    names the sweep; relaxed Jacobi is the only one.
     """
 
     geom: object
@@ -129,7 +127,7 @@ class GeodesicProblem:
     sweep_tol: float = 1e-8
     bisect_tol: float = 1e-10
     max_iters: int = 100000
-    mode: str = GAUSS_SEIDEL
+    mode: str = JACOBI
     check_two_init: bool = True
     eps_report: float = EPS_REPORT
 
@@ -140,7 +138,12 @@ class GeodesicProblem:
             raise PreconditionError("boundary potentials must live on the geometry grid")
         if self.nt < 5:
             raise PreconditionError("need at least 5 radial grid points")
-        if self.mode not in (GAUSS_SEIDEL, JACOBI):
+        if self.mode == "gauss-seidel":
+            raise PreconditionError(
+                "sweep mode 'gauss-seidel' was removed; the sweep is relaxed Jacobi "
+                "(mode = jacobi)"
+            )
+        if self.mode != JACOBI:
             raise PreconditionError(f"unknown sweep mode {self.mode!r}")
         if self.branch.n != self.geom.n:
             raise PreconditionError("branch dimension does not match the geometry")
@@ -381,33 +384,23 @@ class _SweepN1:
                         -1.0 / ((4.0 * ht * h) ** 2 * a * g),
                     )
                 )
-        # the two checkerboard colours of the torus grid; sizes are even, so
-        # periodic neighbours along every axis have the other colour
-        parity = np.indices(geom.grid).sum(axis=0) % 2
-        self.colours = (parity == 0, parity == 1)
-        # Work arrays: one interior-shaped scratch array, and one kernel set
-        # per block shape.  Temporaries of a whole-grid expression sit above
-        # glibc's mmap threshold: each one was mapped, trimmed and faulted in
-        # again on every sweep, which cost about two thirds of a Jacobi
-        # sweep on a 25 x 32 x 32 grid.
-        self.scratch = np.empty((problem.nt - 2,) + geom.grid)
-        # the previous iterate of a Chebyshev (relaxed Jacobi) step
-        self.prev = np.empty_like(self.scratch)
-        self._work = {}
-
-    def _buffers(self, shape):
-        work = self._work.get(shape)
-        if work is None:
-            work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
-            self._work[shape] = work
-        return work
+        # Work arrays, all interior-shaped: a scratch array, the previous
+        # iterate of a Chebyshev step, and the kernel's.  Temporaries of a
+        # whole-grid expression sit above glibc's mmap threshold: each one
+        # was mapped, trimmed and faulted in again on every sweep, which
+        # cost about two thirds of a sweep on a 25 x 32 x 32 grid.
+        shape = (problem.nt - 2,) + geom.grid
+        self.scratch = np.empty(shape)
+        self.prev = np.empty(shape)
+        self._work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
 
     def updates(self, up, mid, dn):
-        """Closed-form Perron values at every point of the rows ``mid``.
+        """Closed-form Perron values at every interior point.
 
-        ``up`` and ``dn`` are the rows one t step above and below, as views
-        of the same shape.  The value is v = m0 + w with m0 = (up + dn) / 2
-        and w the smaller root of w^2 - rho w - kappa, where
+        ``mid`` is the interior, and ``up`` and ``dn`` are the rows one t
+        step above and below it, as views of the same shape.  The value is
+        v = m0 + w with m0 = (up + dn) / 2 and w the smaller root of
+        w^2 - rho w - kappa, where
 
             rho = rho0 + sum_h (u(x + e_h) + u(x - e_h) - 2 m0) / (4 h^2 g),
             kappa = |b|^2 / (a g) >= 0.
@@ -416,7 +409,7 @@ class _SweepN1:
         rho <= 0 and -2 kappa / (rho + r) where rho > 0, so neither form
         cancels.  The result is a work array that the next call overwrites.
         """
-        M, R, D, F, W, positive = self._buffers(mid.shape)
+        M, R, D, F, W, positive = self._work
         np.add(up, dn, out=M)  # 2 m0
         np.subtract(up, dn, out=D)  # 2 ht u_t
         for i, (pairs, lam_w, b_w) in enumerate(self.axes):
@@ -450,7 +443,7 @@ class _SweepN1:
         return D
 
     def max_change(self, new, old):
-        """Largest |new - old| over the interior; ``old`` may be ``scratch``."""
+        """Largest |new - old| over the interior."""
         np.subtract(new, old, out=self.scratch)
         np.abs(self.scratch, out=self.scratch)
         return float(np.max(self.scratch))
@@ -478,28 +471,6 @@ def _sweep_jacobi(machine, U, omega=None):
     delta = machine.max_change(new, mid)
     np.copyto(mid, new)
     return delta
-
-
-def _sweep_gauss_seidel(machine, U, omega=None):
-    """Four-colour in-place sweep: t parity, then the spatial checkerboard.
-
-    No stencil edge joins two points of one colour (u_tt and b reach
-    t +- 1, the spatial endomorphism reaches the other checkerboard colour
-    in the same slice), so updating a colour at once is exactly a
-    Gauss-Seidel ordering of single-point Perron updates.  With ``omega``
-    each colour moves to u + omega (T(u) - u) instead (SOR).  Every point
-    changes once per sweep, so the update size is the largest change of
-    the interior over the whole sweep.
-    """
-    np.copyto(machine.scratch, U[1:-1])
-    for p in (0, 1):
-        up, mid, dn = U[2 + p :: 2], U[1 + p : -1 : 2], U[p:-2:2]
-        for colour in machine.colours:
-            new = machine.updates(up, mid, dn)
-            if omega is not None and omega != 1.0:
-                _relax(new, mid, omega)
-            np.copyto(mid, new, where=colour)
-    return machine.max_change(U[1:-1], machine.scratch)
 
 
 @dataclass
@@ -605,7 +576,7 @@ def validate_slices(problem, U, tol_slice=1e-3):
 
 # Sweeps per window: the projected stop, the relaxation trigger and the
 # relaxed progress test all measure over it.
-_WINDOW = {JACOBI: 30, GAUSS_SEIDEL: 15}
+_WINDOW = 30
 # Two successive window ratios agree when they differ by at most this
 # share of the distance 1 - r to the unit ratio.
 _RATIO_AGREE = 0.1
@@ -626,17 +597,14 @@ _PLAIN_LOOKBACK = 400
 _PLATEAU_LEVEL = 1e-9
 
 
-def _relaxation(mode, ratio):
+def _relaxation(ratio):
     """(rho, omega) from a measured per-sweep contraction ratio of plain sweeps.
 
-    rho is the spectral radius of the linearized Jacobi sweep: the Jacobi
-    ratio itself, or the square root of the Gauss-Seidel ratio (Young's
-    relation for consistently ordered sweeps).  omega = 2 / (1 + sqrt(1 -
-    rho^2)) is Young's optimal SOR factor and the limit of the Chebyshev
-    weights.
+    rho is the spectral radius of the linearized Jacobi sweep, which is the
+    ratio itself.  omega = 2 / (1 + sqrt(1 - rho^2)) is the limit of the
+    Chebyshev weights.
     """
-    rho = ratio if mode == JACOBI else math.sqrt(ratio)
-    return rho, 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+    return ratio, 2.0 / (1.0 + math.sqrt(1.0 - ratio * ratio))
 
 
 def _chebyshev_weights(rho):
@@ -705,20 +673,17 @@ def _solve_single(problem, U0):
     at rounding level without meeting that test) or ``max_iters``.
 
     Plain sweeps run until two successive window ratios agree; then rho and
-    omega follow from the ratio, and the sweeps are over-relaxed (SOR weight
-    omega, or Chebyshev weights tending to omega).  A relaxed window that
-    makes no progress (see _STALE_WINDOWS) is stale.  At rounding level,
-    stale windows stop the solve on the plateau; above it (and at once on
-    a non-finite update) they trip the guard, which restores the grid of
-    the last plain sweep and lets plain sweeps finish the solve.
+    omega follow from the ratio, and the sweeps are over-relaxed (Chebyshev
+    weights tending to omega).  A relaxed window that makes no progress
+    (see _STALE_WINDOWS) is stale.  At rounding level, stale windows stop
+    the solve on the plateau; above it (and at once on a non-finite update)
+    they trip the guard, which restores the grid of the last plain sweep
+    and lets plain sweeps finish the solve.
     """
     run = _Run(U0.copy())
     U = run.U
     interior = U[1:-1]
     machine = _SweepN1(problem)
-    jacobi = problem.mode == JACOBI
-    sweep = _sweep_jacobi if jacobi else _sweep_gauss_seidel
-    window = _WINDOW[problem.mode]
     history = []
     weights = None  # the relaxation weights; None while sweeps are plain
     start = stale = 0  # len(history) when relaxation began; stale windows
@@ -726,16 +691,16 @@ def _solve_single(problem, U0):
     checkpoint = None  # the interior when relaxation began
     for iters in range(1, problem.max_iters + 1):
         relaxed = weights is not None
-        delta = sweep(machine, U, next(weights) if relaxed else None)
+        delta = _sweep_jacobi(machine, U, next(weights) if relaxed else None)
         history.append(delta)
         run.iterations, run.final_max_update = iters, delta
-        if _projected_converged(history, window, problem.sweep_tol):
+        if _projected_converged(history, _WINDOW, problem.sweep_tol):
             run.stop_reason = "projected"
             break
         if relaxed:
-            if math.isfinite(delta) and (len(history) - start) % window:
+            if math.isfinite(delta) and (len(history) - start) % _WINDOW:
                 continue
-            peak = max(history[-window:]) if math.isfinite(delta) else math.nan
+            peak = max(history[-_WINDOW:]) if math.isfinite(delta) else math.nan
             rounding = peak < _PLATEAU_LEVEL
             if peak < (_PLATEAU_CUT * best if rounding else best):
                 best, stale = peak, 0
@@ -761,22 +726,22 @@ def _solve_single(problem, U0):
             run.stop_reason = "plateau"
             break
         elif not run.guard_sweep:
-            ratio = _agreed_ratio(history, window)
+            ratio = _agreed_ratio(history, _WINDOW)
             if ratio is None:
                 continue
-            rho, omega = _relaxation(problem.mode, ratio)
+            rho, omega = _relaxation(ratio)
             run.rho_estimate, run.omega, run.plain_sweeps = rho, omega, iters
-            weights = _chebyshev_weights(rho) if jacobi else itertools.repeat(omega)
+            weights = _chebyshev_weights(rho)
             start = len(history)
             checkpoint = interior.copy()
     if weights is not None and run.stop_reason != "max_iters":
         # the weights amplify rounding noise (its second t differences are
         # what a near-singular residual sees); one window of plain sweeps
         # settles it
-        for _ in range(min(window, problem.max_iters - run.iterations)):
-            run.final_max_update = sweep(machine, U)
+        for _ in range(min(_WINDOW, problem.max_iters - run.iterations)):
+            run.final_max_update = _sweep_jacobi(machine, U)
             run.iterations += 1
-    # the Perron oracle: one plain Jacobi sweep from the result
+    # the Perron oracle: one plain sweep from the result
     run.perron_check = machine.max_change(machine.updates(U[2:], interior, U[:-2]), interior)
     return run
 

@@ -44,8 +44,10 @@ def _as_square(M, name="matrix", cap=SPACETIME_DIM_CAP):
 
 def _finite_norm(M, name):
     """||M||_F; ValueError when it is not finite (a nan or inf entry, or overflow),
-    since every relative tolerance here is measured against it."""
-    norm = float(np.linalg.norm(M))
+    since every relative tolerance here is measured against it.  Overflow is
+    reported by the error, not by a numpy warning."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
     if not math.isfinite(norm):
         raise ValueError(f"{name} has a non-finite entry or norm")
     return norm

@@ -157,6 +157,21 @@ class TestPhiRegular:
         with pytest.raises(ValueError):
             phi_lifted_usc_batch(bad)
 
+    @pytest.mark.parametrize("fn", [phi_lifted_usc_batch, phi_lifted_lsc_batch])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+    def test_batch_rejects_non_finite_input(self, fn, bad):
+        # one bad matrix in a stack of Hermitian 3x3s; 1e155 entries are
+        # finite, but the norm of the matrix overflows
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        A = X + X.conj().swapaxes(-2, -1)
+        if bad == "overflow":
+            A[2] *= 1e155
+        else:
+            A[2, 1, 1] = float(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(A)
+
 
 class TestLiftedExtensions:
     def test_zero_matrix(self):

@@ -223,11 +223,15 @@ class TestGeodesicCommand:
         cfg = tmp_path / "short.cfg"
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
         cfg.write_text(text.replace("max_iters = 20000", "max_iters = 5"))
-        code, out, _ = run(capsys, "geodesic", "--config", str(cfg))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
         assert code == 1
         assert grep(out, "stop_reason") == "max_iters"
         assert float(grep(out, "perron_check")) > 1e-9
         assert grep(out, "check_perron") == "fail"
+        assert (
+            "note: the sweeps hit max_iters=5 before the projected distance met sweep_tol"
+            in err
+        )
 
     def test_plateau_stop_noted_on_stderr(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
@@ -242,8 +246,9 @@ class TestGeodesicCommand:
     def test_guard_fallback_noted_on_stderr(self, capsys, monkeypatch):
         from dhymgeo import geodesic
 
-        # omega > 2 makes SOR diverge, so the guard must take over
-        monkeypatch.setattr(geodesic, "_relaxation", lambda mode, ratio: (0.99, 2.5))
+        # rho > 1 makes the Chebyshev weights swing through large negative
+        # values, so the guard must take over
+        monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: (1.5, 2.0))
         code, out, err = run(
             capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
         )
@@ -254,16 +259,25 @@ class TestGeodesicCommand:
         assert sweep > int(grep(out, "plain_sweeps"))
         assert f"plain sweeps from sweep {sweep}" in err
 
-    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
-    def test_mode_flag_and_determinism(self, capsys, mode):
-        args = (
-            "geodesic",
-            "--config",
-            str(CONFIGS / "geodesic_sample.cfg"),
-            "--mode",
-            mode,
-        )
-        _, out1, _ = run(capsys, *args)
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
+    @pytest.mark.parametrize("mode", ["jacobi"])
+    def test_mode_flag_and_determinism(self, capsys, tmp_path, mode):
+        # the sample config leaves the mode at its default; naming it
+        # changes nothing
+        cfg = tmp_path / "named.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("[solver]\n", f"[solver]\nmode = {mode}\n"))
+        _, out1, _ = run(capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg"))
+        _, out2, _ = run(capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg"))
+        code, out3, _ = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 0
+        assert out1 == out2 == out3
         assert grep(out1, "mode") == mode
+
+    def test_gauss_seidel_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "gs.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("[solver]\n", "[solver]\nmode = gauss-seidel\n"))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "'gauss-seidel' was removed" in err

@@ -11,7 +11,6 @@ import pytest
 from dhymgeo import geodesic
 from dhymgeo.errors import PreconditionError
 from dhymgeo.geodesic import (
-    GAUSS_SEIDEL,
     JACOBI,
     GeodesicProblem,
     SpaceTimeJet,
@@ -355,26 +354,6 @@ class TestPerronUpdate:
                 v = perron_update(pb, W, it, (ix,), bars.lower, bars.upper)
                 assert v >= base - 1e-9
 
-    def test_gauss_seidel_leaves_last_point_admissible(self):
-        # just-updated values are admissible against the neighbors they were
-        # computed with; for the colour updated last (t rows 2, 4, ..., second
-        # checkerboard colour) those neighbors are final, so membership of
-        # every one of its points survives the sweep
-        from dhymgeo.geodesic import _SweepN1, _sweep_gauss_seidel
-
-        pb = small_problem()
-        bars = build_barriers(pb)
-        U = bars.lower.copy()
-        U[0], U[-1] = pb.phi1, pb.phi2
-        machine = _SweepN1(pb)
-        _sweep_gauss_seidel(machine, U)
-        last = np.flatnonzero(machine.colours[-1])
-        assert len(last) == pb.geom.grid[0] // 2
-        for it in range(2, pb.nt - 1, 2):
-            for ix in last:
-                jet = assemble_jet(pb, U, it, (ix,))
-                assert phi_lifted_usc(jet.matrix()).value >= pb.branch.c - 1e-9
-
     def test_generic_path_n2_linear_family(self):
         # the bisection path serves n = 2 point updates; on linear-in-t data
         # the exact fixed point is the t-neighbor average, as for n = 1
@@ -602,26 +581,24 @@ class TestSweepKernel:
             err = max(err, abs(new[(it - 1,) + ix] - _decimal_update(pb, U, it, ix)))
         assert err <= 1e-15
 
-    @pytest.mark.parametrize("mode", [JACOBI, GAUSS_SEIDEL])
+    @pytest.mark.parametrize("mode", [JACOBI])
     def test_sweeps_allocate_no_grid_arrays(self, mode):
         import tracemalloc
 
-        from dhymgeo.geodesic import _SweepN1, _sweep_gauss_seidel, _sweep_jacobi
+        from dhymgeo.geodesic import _SweepN1, _sweep_jacobi
 
-        pb = full_problem(n=64, nt=17)
+        pb = full_problem(n=64, nt=17, mode=mode)
         bars = build_barriers(pb)
         U = bars.lower.copy()
         machine = _SweepN1(pb)
-        sweep = _sweep_jacobi if mode == JACOBI else _sweep_gauss_seidel
-        # warm-up: the work arrays are allocated here, and a relaxed Jacobi
-        # step (weight 1) records the previous iterate
-        sweep(machine, U)
-        sweep(machine, U, 1.0)
+        # warm-up: a relaxed step (weight 1) records the previous iterate
+        _sweep_jacobi(machine, U)
+        _sweep_jacobi(machine, U, 1.0)
         for omega in (None, 1.6):
             tracemalloc.start()
             try:
                 for _ in range(10):
-                    sweep(machine, U, omega)
+                    _sweep_jacobi(machine, U, omega)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -700,26 +677,11 @@ class TestSolve:
         Ufinal, rep = solve(pb)
         assert rep.sandwich_low_worst >= -1e-9
 
-    def test_modes_agree(self):
-        pb_j = small_problem(nx=16, nt=9, mode=JACOBI)
-        pb_g = small_problem(nx=16, nt=9, mode=GAUSS_SEIDEL)
-        Uj, rep_j = solve(pb_j)
-        Ug, rep_g = solve(pb_g)
-        assert np.max(np.abs(Uj - Ug)) < 1e-9
-        assert rep_g.iterations < 0.6 * rep_j.iterations
-
     def test_stops_on_projected_below_the_old_rounding_floor(self):
         # a kernel that cancels in its discriminant leaves updates at about
         # 5e-14 here, so this solve used to end on the plateau
         U, rep = solve(full_problem(n=32, nt=17, mode=JACOBI, sweep_tol=1e-12))
         assert rep.stop_reason == "projected"
-
-    def test_modes_agree_full_grid(self):
-        Uj, rep_j = solve(full_problem(mode=JACOBI, sweep_tol=1e-12))
-        Ug, rep = solve(full_problem(mode=GAUSS_SEIDEL, sweep_tol=1e-12))
-        assert rep.converged
-        assert np.max(np.abs(Uj - Ug)) < 1e-9
-        assert rep.iterations < 0.6 * rep_j.iterations
 
     @pytest.mark.parametrize(
         "kw, reason",
@@ -754,6 +716,14 @@ class TestSolve:
             GeodesicProblem(
                 geom=geom, phi1=zero, phi2=zero, branch=Branch(c=math.atan(3.0), n=2), nt=9
             )
+
+    def test_jacobi_is_the_only_mode(self):
+        geom = reduced_geom()
+        zero = geom.zeros()
+        branch = Branch(c=math.atan(3.0), n=1)
+        assert GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch).mode == JACOBI
+        with pytest.raises(PreconditionError, match="'gauss-seidel' was removed"):
+            GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch, mode="gauss-seidel")
 
     def test_full_grid_matches_reduced_on_y_invariant_data(self):
         geom_full = TorusGeometry(n=1, grid=(16, 8), alpha0=[[3.0]])
@@ -835,7 +805,7 @@ def plain_sweeps_only(monkeypatch):
 
 class TestRelaxation:
     @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
-    @pytest.mark.parametrize("mode", [JACOBI, GAUSS_SEIDEL])
+    @pytest.mark.parametrize("mode", [JACOBI])
     def test_matches_plain_sweeps(self, make, mode, monkeypatch):
         pb = make(mode=mode, sweep_tol=1e-13)
         U, rep = solve(pb)
@@ -851,24 +821,19 @@ class TestRelaxation:
 
     def test_omega_in_unit_to_two(self):
         for ratio in (1e-6, 0.3, 0.9, 0.99, 0.999999):
-            for mode in (JACOBI, GAUSS_SEIDEL):
-                rho, omega = geodesic._relaxation(mode, ratio)
-                assert 0.0 < rho < 1.0
-                assert 1.0 <= omega < 2.0
-            # Young's relation: the Gauss-Seidel ratio is the squared Jacobi one
-            assert geodesic._relaxation(GAUSS_SEIDEL, ratio * ratio) == pytest.approx(
-                geodesic._relaxation(JACOBI, ratio), rel=1e-12
-            )
+            rho, omega = geodesic._relaxation(ratio)
+            assert 0.0 < rho < 1.0
+            assert 1.0 <= omega < 2.0
 
     @pytest.mark.parametrize(
         "mode, bad",
         # rho > 1 makes the Chebyshev weights swing through large negative
-        # values; omega > 2 makes SOR diverge
-        [(JACOBI, (1.5, 2.0)), (GAUSS_SEIDEL, (0.99, 2.5))],
+        # values
+        [(JACOBI, (1.5, 2.0))],
     )
     def test_guard_recovers_from_bad_rho(self, mode, bad, monkeypatch):
         pb = small_problem(mode=mode)
-        monkeypatch.setattr(geodesic, "_relaxation", lambda mode, ratio: bad)
+        monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: bad)
         U, rep = solve(pb)
         assert rep.details["guard_sweep"] > rep.plain_sweeps > 0
         assert rep.converged and rep.all_finite() and rep.sandwich_ok
