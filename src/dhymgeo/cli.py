@@ -37,7 +37,7 @@ from .geometry import (
     write_grid,
     z_integral,
 )
-from .geodesic import solve
+from .geodesic import NEWTON, solve
 from .linalg import format_matrix_literal, parse_matrix_literal
 from .subequations import (
     Branch,
@@ -198,6 +198,7 @@ def cmd_geodesic(args):
     U, report = solve(problem)
     rep = Report()
     rep.add("mode", report.mode)
+    rep.add("solver", report.solver)
     rep.add("nt", problem.nt)
     rep.add("grid", " ".join(str(g) for g in problem.geom.grid))
     rep.add("c", problem.branch.c)
@@ -223,15 +224,16 @@ def cmd_geodesic(args):
     if report.two_init_discrepancy is not None:
         rep.add("two_init_discrepancy", report.two_init_discrepancy)
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
+    steps = "Newton steps" if report.solver == NEWTON else "sweeps"
     if report.stop_reason == "plateau":
         print(
-            "note: the sweeps stopped at the rounding plateau, before the "
+            f"note: the {steps} stopped at the rounding plateau, before the "
             "projected distance met sweep_tol",
             file=sys.stderr,
         )
     if report.stop_reason == "max_iters":
         print(
-            f"note: the sweeps hit max_iters={problem.max_iters} before the "
+            f"note: the {steps} hit max_iters={problem.max_iters} before the "
             "projected distance met sweep_tol",
             file=sys.stderr,
         )

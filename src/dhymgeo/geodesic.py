@@ -61,6 +61,33 @@ maximum above rounding level, or an update is not finite.  A relaxed
 solve ends with one window of plain sweeps, which settle the rounding
 noise the weights amplify, and every solve reports the largest move of
 one more plain sweep from its result (the Perron check).
+
+Reduced grids (one x axis) are solved by Newton's method on
+F(U) = T(U) - U instead, with T the closed-form Perron map; full grids
+keep the relaxed sweeps.  T is smooth off rho = kappa = 0, and with r the
+square root of the discriminant its derivative has eight neighbour
+weights per point (``_SweepN1.linearize``):
+
+    wx = -(w/r) lam_w             at (t, x+-1),
+    1/2 - wx                      at (t+-1, x),
+    +-wd, wd = b_w Delta / (2r)   at the diagonal neighbours,
+
+where Delta = D(x+1) - D(x-1) is the mixed difference of
+D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  So the Jacobian is
+block tridiagonal in t with periodic-tridiagonal nx x nx blocks, and one
+step is a block LU (Thomas) solve, one dense inverse per t row.  Plain
+Newton from the lower barrier meets singular blocks: the barrier's sheets
+have u_t constant in x, so kappa = 0, and a t row with rho < 0 and
+kappa = 0 has the periodic x-Laplacian, null on constants, as its block.
+Pseudo-transient continuation (Kelley and Keyes, SIAM J. Numer. Anal. 35,
+1998) shifts the step, ((1 + s) I - J) delta = F with s = 1/dtau, and
+switched evolution relaxation sets dtau: 100 at first, then
+dtau <- dtau sup|F_old| / sup|F_new|, with s = 0 once it falls below
+1e-12, so the last steps are Newton steps.  A Newton solve stops on
+``projected`` when an unshifted step, which estimates the distance to the
+fixed point, moves the grid by less than ``sweep_tol``; on ``plateau``
+when sup|F| falls to 8 eps max(1, sup|U|) first; or on ``max_iters``
+steps.  A singular block or a non-finite step raises ValidationError.
 """
 
 from __future__ import annotations
@@ -88,6 +115,9 @@ from .subequations import Branch
 T_TOTAL = math.log(2.0)
 
 JACOBI = "jacobi"
+# The solver a run used: Newton on reduced grids, relaxed sweeps on full ones.
+NEWTON = "newton"
+SWEEPS = "sweeps"
 
 # Padding beyond the barrier sandwich for the bracket of the pointwise update.
 _BRACKET_PAD = 1.0
@@ -116,7 +146,9 @@ class GeodesicProblem:
     Both must be admissible with positive margin and the branch must lie
     in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
     the width of the certified bracket of a pointwise update.  ``mode``
-    names the sweep; relaxed Jacobi is the only one.
+    names the sweep of full grids; relaxed Jacobi is the only one.  Reduced
+    grids are solved by Newton steps, which ``sweep_tol`` and ``max_iters``
+    bound as they bound the sweeps.
     """
 
     geom: object
@@ -442,6 +474,38 @@ class _SweepN1:
         np.multiply(D, 0.5, out=D)
         return D
 
+    def linearize(self, up, mid, dn):
+        """(T(u) - u, wx, wd) on a reduced grid: the residual of the Perron map
+        and the neighbour weights of ``updates``, dv/du at each neighbour.
+
+        With r = sqrt(rho^2 + 4 kappa) and w the root, dv/drho = -w/r and
+        dv/d(-4 kappa) = 1/(4r).  Through the weights lam_w of rho and b_w of
+        -4 kappa (``axes``), with D = u(t+1) - u(t-1) and
+        Delta = D(x+1) - D(x-1):
+
+            wx = -(w/r) lam_w      at (t, x+1) and (t, x-1),
+            1/2 - wx               at (t+1, x) and (t-1, x),
+            wd = b_w Delta / (2r)  at (t+1, x+1) and (t-1, x-1),
+            -wd                    at (t+1, x-1) and (t-1, x+1).
+
+        At r = 0 (rho = kappa = 0) the map has no derivative; the weights
+        there are its limit along kappa = 0, rho -> 0+, where v = m0:
+        wx = wd = 0.
+        """
+        ((_, lam_w, b_w),) = self.axes
+        residual = self.updates(up, mid, dn) - mid
+        # ``updates`` leaves rho in R and -4 kappa in F
+        _, R, _, F, _, _ = self._work
+        r = np.sqrt(R * R - F)
+        # 2w in the kernel's two non-cancelling forms
+        two_w = R - r
+        np.divide(F, R + r, out=two_w, where=R > 0.0)
+        half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
+        D = up - dn
+        wx = -lam_w * two_w * half_inv_r
+        wd = b_w * (np.roll(D, -1, axis=1) - np.roll(D, 1, axis=1)) * half_inv_r
+        return residual, wx, wd
+
     def max_change(self, new, old):
         """Largest |new - old| over the interior."""
         np.subtract(new, old, out=self.scratch)
@@ -494,6 +558,7 @@ class SolverReport:
     sandwich_ok: bool
     two_init_discrepancy: float | None
     mode: str
+    solver: str
     runtime_seconds: float
     details: dict = field(default_factory=dict)
 
@@ -652,9 +717,10 @@ def _projected_converged(history, window, tol):
 
 @dataclass
 class _Run:
-    """One sweep solve: the grid, how it stopped, and how it was relaxed."""
+    """One solve: the grid, how it stopped, and how it was relaxed."""
 
     U: np.ndarray
+    solver: str = SWEEPS
     iterations: int = 0
     final_max_update: float = 0.0
     stop_reason: str = "max_iters"
@@ -666,6 +732,13 @@ class _Run:
 
 
 def _solve_single(problem, U0):
+    """One solve from U0: Newton on reduced grids, relaxed sweeps on full ones."""
+    if problem.geom.reduced:
+        return _newton_solve(problem, U0)
+    return _sweep_solve(problem, U0)
+
+
+def _sweep_solve(problem, U0):
     """Sweep to a stop; returns a _Run.
 
     The stop reason is ``projected`` (the projected distance to the fixed
@@ -746,8 +819,108 @@ def _solve_single(problem, U0):
     return run
 
 
+# Pseudo-transient continuation: the first pseudo time step, and the shift
+# 1/dtau below which a step is a plain Newton step.
+_DTAU0 = 100.0
+_SHIFT_OFF = 1e-12
+# sup|T(u) - u| at or below this multiple of eps max(1, sup|u|) is rounding.
+_NEWTON_FLOOR = 8.0 * np.finfo(float).eps
+
+
+def _block_thomas(shift, wx, wd, F):
+    """delta solving ((1 + shift) I - J) delta = F over a reduced interior.
+
+    J, the Jacobian of the Perron map (weights from ``linearize``), is block
+    tridiagonal in t.  Row t's own block of J holds wx at x+-1, so the
+    matrix's diagonal block A is periodic tridiagonal; the blocks of rows
+    t+1 and t-1, Jup and Jdn, hold 1/2 - wx on the diagonal and +-wd beside
+    it.  Block LU (Thomas): S_0 = A_0 and S_k = A_k - Jdn_k P_{k-1},
+    P_k = S_k^{-1} Jup_k and z_k = S_k^{-1} (F_k + Jdn_k z_{k-1}); then
+    delta_k = z_k + P_k delta_{k+1} upwards from the last row.  Each block
+    costs one inverse.
+    """
+    m, nx = F.shape
+    ar, plus, minus = np.arange(nx), (np.arange(nx) + 1) % nx, (np.arange(nx) - 1) % nx
+    S = np.zeros((m, nx, nx))
+    S[:, ar, ar] = 1.0 + shift
+    S[:, ar, plus] -= wx
+    S[:, ar, minus] -= wx
+    # Jup, then P in place, and Jdn
+    up = np.zeros_like(S)
+    up[:, ar, ar] = 0.5 - wx
+    down = up.copy()
+    up[:, ar, plus] += wd
+    up[:, ar, minus] -= wd
+    down[:, ar, plus] -= wd
+    down[:, ar, minus] += wd
+    z = F.copy()
+    for k in range(m):
+        if k:
+            S[k] -= down[k] @ up[k - 1]
+            z[k] += down[k] @ z[k - 1]
+        try:
+            inv = np.linalg.inv(S[k])
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                f"singular Newton block at t row {k + 1}: the Perron map's Jacobian "
+                "is not invertible there"
+            ) from None
+        z[k] = inv @ z[k]
+        up[k] = inv @ up[k]
+    for k in range(m - 2, -1, -1):
+        z[k] += up[k] @ z[k + 1]
+    return z
+
+
+def _newton_solve(problem, U0):
+    """Newton on F(U) = T(U) - U for a reduced grid; returns a _Run.
+
+    Each step solves ((1 + s) I - J) delta = T(U) - U by ``_block_thomas``.
+    The shift s = 1/dtau follows switched evolution relaxation: dtau starts
+    at _DTAU0 and is scaled by sup|F_old| / sup|F_new| each step, and s is 0
+    once it falls below _SHIFT_OFF.  The stop reason is ``projected`` (an
+    unshifted step moved the grid by less than ``sweep_tol``), ``plateau``
+    (sup|F| reached the rounding floor first) or ``max_iters``.
+    """
+    run = _Run(U0.copy(), solver=NEWTON)
+    U = run.U
+    mid = U[1:-1]
+    machine = _SweepN1(problem)
+    dtau = _DTAU0
+    f_prev = None
+    while True:
+        F, wx, wd = machine.linearize(U[2:], mid, U[:-2])
+        f = float(np.max(np.abs(F)))
+        if f <= _NEWTON_FLOOR * max(1.0, float(np.max(np.abs(U)))):
+            run.stop_reason = "plateau"
+            break
+        if run.iterations == problem.max_iters:
+            break
+        if f_prev is not None:
+            dtau *= f_prev / f
+        shift = 1.0 / dtau
+        if shift < _SHIFT_OFF:
+            shift = 0.0
+        delta = _block_thomas(shift, wx, wd, F)
+        run.iterations += 1
+        run.final_max_update = float(np.max(np.abs(delta)))
+        if not math.isfinite(run.final_max_update):
+            raise ValidationError(f"Newton step {run.iterations} is not finite")
+        mid += delta
+        if shift == 0.0 and run.final_max_update < problem.sweep_tol:
+            run.stop_reason = "projected"
+            break
+        f_prev = f
+    # the Perron oracle: one plain sweep from the result
+    run.perron_check = machine.max_change(machine.updates(U[2:], mid, U[:-2]), mid)
+    return run
+
+
 def solve(problem, init="lower"):
-    """Perron sweep from the lower envelope; returns (grid, SolverReport).
+    """Perron solution from the lower envelope; returns (grid, SolverReport).
+
+    Reduced grids are solved by Newton steps, full grids by relaxed sweeps;
+    the report's ``solver`` says which.
 
     With ``check_two_init`` a second run starts from the linear radial
     interpolation clipped to the barrier sandwich, and the report carries
@@ -803,6 +976,7 @@ def solve(problem, init="lower"):
         sandwich_ok=(low_worst >= -1e-9) and (high_worst >= -1e-9),
         two_init_discrepancy=two_init,
         mode=problem.mode,
+        solver=run.solver,
         runtime_seconds=time.perf_counter() - t0,
         details={
             "margins": list(problem.margins),

@@ -13,6 +13,21 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+# A full 8 x 8 grid: the relaxed sweeps serve full grids, Newton reduced ones.
+FULL_CFG = (
+    "[geometry]\nn = 1\ngrid = 8 8\nalpha0 = 3\n\n"
+    "[problem]\nphi1 = 0.15*cos(2*pi*x1) + 0.05*sin(2*pi*y1)\n"
+    "phi2 = 0.1*sin(2*pi*x1) + 0.05\n\n"
+    "[solver]\nnt = 7\nsweep_tol = 1e-12\nmax_iters = 20000\nresidual_tol = 1e-6\n"
+)
+
+
+def full_config(tmp_path, text=FULL_CFG):
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -205,11 +220,10 @@ class TestGeodesicCommand:
         assert code == 2
         assert "not admissible" in err
 
-    def test_relaxation_report_lines(self, capsys):
-        code, out, err = run(
-            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
-        )
+    def test_relaxation_report_lines(self, capsys, tmp_path):
+        code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path))
         assert code == 0
+        assert grep(out, "solver") == "sweeps"
         assert int(grep(out, "plain_sweeps")) > 0
         assert 0.0 < float(grep(out, "rho_estimate")) < 1.0
         assert 1.0 <= float(grep(out, "omega")) < 2.0
@@ -229,35 +243,62 @@ class TestGeodesicCommand:
         assert float(grep(out, "perron_check")) > 1e-9
         assert grep(out, "check_perron") == "fail"
         assert (
-            "note: the sweeps hit max_iters=5 before the projected distance met sweep_tol"
-            in err
+            "note: the Newton steps hit max_iters=5 before the projected distance "
+            "met sweep_tol" in err
         )
 
     def test_plateau_stop_noted_on_stderr(self, capsys, tmp_path):
+        # no update can meet a zero tolerance, so the solve ends on the plateau
+        text = FULL_CFG.replace("sweep_tol = 1e-12", "sweep_tol = 0")
+        code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path, text))
+        assert code == 0
+        assert grep(out, "stop_reason") == "plateau"
+        assert "note: the sweeps stopped at the rounding plateau" in err
+        # and Newton on the reduced sample
         cfg = tmp_path / "tight.cfg"
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
-        # no update can meet a zero tolerance, so the solve ends on the plateau
         cfg.write_text(text.replace("sweep_tol = 1e-12", "sweep_tol = 0"))
         code, out, err = run(capsys, "geodesic", "--config", str(cfg))
         assert code == 0
         assert grep(out, "stop_reason") == "plateau"
-        assert "note: the sweeps stopped at the rounding plateau" in err
+        assert "note: the Newton steps stopped at the rounding plateau" in err
 
-    def test_guard_fallback_noted_on_stderr(self, capsys, monkeypatch):
+    def test_guard_fallback_noted_on_stderr(self, capsys, monkeypatch, tmp_path):
         from dhymgeo import geodesic
 
         # rho > 1 makes the Chebyshev weights swing through large negative
         # values, so the guard must take over
         monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: (1.5, 2.0))
-        code, out, err = run(
-            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
-        )
+        code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path))
         assert code == 0
         assert grep(out, "status") == "pass"
         assert "note: relaxation did not contract" in err
         sweep = int(grep(out, "guard_sweep"))
         assert sweep > int(grep(out, "plain_sweeps"))
         assert f"plain sweeps from sweep {sweep}" in err
+
+    def test_generic_config_passes(self, capsys):
+        # random phases put near-singular points on the grid, where the
+        # residual check needs the fixed point to rounding
+        code, out, _ = run(
+            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_generic.cfg")
+        )
+        assert code == 0
+        assert grep(out, "solver") == "newton"
+        assert grep(out, "check_residual") == "pass"
+        assert grep(out, "status") == "pass"
+
+    def test_singular_newton_block_exit_1(self, capsys, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        code, out, err = run(
+            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
+        )
+        assert code == 1
+        assert out == ""
+        assert "validation failure: singular Newton block at t row 1" in err
 
     @pytest.mark.parametrize("mode", ["jacobi"])
     def test_mode_flag_and_determinism(self, capsys, tmp_path, mode):

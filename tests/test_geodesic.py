@@ -3,13 +3,14 @@
 import decimal
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from dhymgeo import geodesic
-from dhymgeo.errors import PreconditionError
+from dhymgeo.errors import PreconditionError, ValidationError
 from dhymgeo.geodesic import (
     JACOBI,
     GeodesicProblem,
@@ -534,6 +535,22 @@ def _decimal_update(pb, U, it, ix):
         return float((-q1 - (q1 * q1 - 4 * q2 * q0).sqrt()) / (2 * q2))
 
 
+def y_invariant_problem(nx=16, ny=8, nt=9, **kw):
+    """``small_problem``'s data on a full nx x ny grid, constant along y."""
+    geom = TorusGeometry(n=1, grid=(nx, ny), alpha0=[[3.0]])
+    x = geom.coordinates()["x1"]
+    kw.setdefault("sweep_tol", 1e-13)
+    kw.setdefault("check_two_init", False)
+    return GeodesicProblem(
+        geom=geom,
+        phi1=0.2 * np.cos(2 * math.pi * x),
+        phi2=0.15 * np.sin(2 * math.pi * x) + 0.1,
+        branch=Branch(c=math.atan(3.0), n=1),
+        nt=nt,
+        **kw,
+    )
+
+
 def full_problem(n=8, nt=7, **kw):
     geom = TorusGeometry(n=1, grid=(n, n), alpha0=[[3.0]])
     co = geom.coordinates()
@@ -692,7 +709,8 @@ class TestSolve:
         ],
     )
     def test_stop_reason(self, kw, reason):
-        U, rep = solve(small_problem(**kw))
+        U, rep = solve(full_problem(**kw))
+        assert rep.solver == "sweeps"
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
@@ -726,19 +744,7 @@ class TestSolve:
             GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch, mode="gauss-seidel")
 
     def test_full_grid_matches_reduced_on_y_invariant_data(self):
-        geom_full = TorusGeometry(n=1, grid=(16, 8), alpha0=[[3.0]])
-        x_full = geom_full.coordinates()["x1"]
-        pb_full = GeodesicProblem(
-            geom=geom_full,
-            phi1=0.2 * np.cos(2 * math.pi * x_full),
-            phi2=0.15 * np.sin(2 * math.pi * x_full) + 0.1,
-            branch=Branch(c=math.atan(3.0), n=1),
-            nt=9,
-            sweep_tol=1e-13,
-            mode=JACOBI,
-            check_two_init=False,
-        )
-        Uf, _ = solve(pb_full)
+        Uf, _ = solve(y_invariant_problem())
         pb_red = small_problem(nx=16, nt=9)
         Ur, _ = solve(pb_red)
         assert np.max(np.abs(Uf[:, :, 3] - Ur)) < 1e-9
@@ -780,17 +786,17 @@ class TestSolve:
             solve(pb)
 
 
-def shift_problem():
-    """Criterion 8's 33 x 64 shift problem: phi2 = phi1 + 0.2, exact solution
-    linear in t."""
-    geom = reduced_geom(64)
+def shift_problem(grid=(64,), nt=33):
+    """Criterion 8's shift problem, 33 x 64 reduced by default: phi2 = phi1 + 0.2,
+    exact solution linear in t."""
+    geom = TorusGeometry(n=1, grid=grid, alpha0=[[3.0]], reduced=len(grid) == 1)
     phi = 0.3 * np.cos(2 * math.pi * geom.coordinates()["x1"])
     return GeodesicProblem(
         geom=geom,
         phi1=phi,
         phi2=phi + 0.2,
         branch=Branch(c=math.atan(3.0), n=1),
-        nt=33,
+        nt=nt,
         sweep_tol=1e-13,
         max_iters=60000,
         mode=JACOBI,
@@ -804,11 +810,14 @@ def plain_sweeps_only(monkeypatch):
 
 
 class TestRelaxation:
-    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    @pytest.mark.parametrize(
+        "make", [y_invariant_problem, full_problem], ids=["y-invariant", "full"]
+    )
     @pytest.mark.parametrize("mode", [JACOBI])
     def test_matches_plain_sweeps(self, make, mode, monkeypatch):
         pb = make(mode=mode, sweep_tol=1e-13)
         U, rep = solve(pb)
+        assert rep.solver == "sweeps"
         assert rep.plain_sweeps > 0 and rep.details["guard_sweep"] == 0
         assert 0.0 < rep.rho_estimate < 1.0
         assert 1.0 <= rep.omega < 2.0
@@ -832,7 +841,7 @@ class TestRelaxation:
         [(JACOBI, (1.5, 2.0))],
     )
     def test_guard_recovers_from_bad_rho(self, mode, bad, monkeypatch):
-        pb = small_problem(mode=mode)
+        pb = full_problem(mode=mode, sweep_tol=1e-13)
         monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: bad)
         U, rep = solve(pb)
         assert rep.details["guard_sweep"] > rep.plain_sweeps > 0
@@ -845,22 +854,178 @@ class TestRelaxation:
     def test_perron_check_is_one_plain_sweep(self):
         from dhymgeo.geodesic import _SweepN1
 
-        pb = small_problem(sweep_tol=1e-8, max_iters=5)
+        pb = full_problem(sweep_tol=1e-8, max_iters=5)
         U, rep = solve(pb)
+        assert rep.solver == "sweeps"
         machine = _SweepN1(pb)
         move = np.max(np.abs(machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1]))
         assert rep.perron_check == move
         assert move > 1e-6  # five sweeps from the lower barrier are far off
 
     def test_shift_family_sweeps_fall_fivefold(self, monkeypatch):
-        pb = shift_problem()
+        pb = shift_problem(grid=(32, 8), nt=25)
         U, rep = solve(pb)
-        exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
+        assert rep.solver == "sweeps"
+        exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1, 1) / T_TOTAL
         assert np.max(np.abs(U - exact)) < 1e-10
         plain_sweeps_only(monkeypatch)
         Up, rep_p = solve(pb)
         assert rep.iterations < rep_p.iterations / 5
         assert np.max(np.abs(U - Up)) <= 1e-10
+
+
+def generic_problems(count):
+    """The first ``count`` problems of the generic reduced set: admissible
+    random-phase n = 1 problems on reduced grids, two-init, sweep_tol 1e-10."""
+    rng = np.random.default_rng(12345)
+    problems = []
+    while len(problems) < count:
+        nx, nt = int(rng.choice((16, 24, 32))), int(rng.choice((9, 13, 17)))
+        a1, a2 = rng.uniform(0.05, 0.25, 2)
+        b1, b2 = rng.uniform(0.0, 0.05, 2)
+        off = rng.uniform(-0.15, 0.15)
+        p = rng.uniform(0.0, 2 * math.pi, 4)
+        geom = reduced_geom(nx)
+        x = 2 * math.pi * geom.coordinates()["x1"]
+        try:
+            problems.append(
+                GeodesicProblem(
+                    geom=geom,
+                    phi1=a1 * np.cos(x + p[0]) + b1 * np.cos(2 * x + p[1]),
+                    phi2=a2 * np.cos(x + p[2]) + b2 * np.cos(2 * x + p[3]) + off,
+                    branch=select_branch(geom, require_regime=True),
+                    nt=nt,
+                    sweep_tol=1e-10,
+                )
+            )
+        except PreconditionError:
+            pass
+    return problems
+
+
+def lower_start(pb):
+    U0 = build_barriers(pb).lower.copy()
+    U0[0], U0[-1] = pb.phi1, pb.phi2
+    return U0
+
+
+def dense_jacobian(wx, wd):
+    """The interior Jacobian of the Perron map from the neighbour weights,
+    entry by entry."""
+    m, nx = wx.shape
+    J = np.zeros((m, nx, m, nx))
+    for k, x in itertools.product(range(m), range(nx)):
+        for dx in (1, -1):
+            J[k, x, k, (x + dx) % nx] += wx[k, x]
+        for dk in (1, -1):
+            if 0 <= k + dk < m:
+                J[k, x, k + dk, x] += 0.5 - wx[k, x]
+                for dx in (1, -1):
+                    J[k, x, k + dk, (x + dx) % nx] += dk * dx * wd[k, x]
+    return J.reshape(m * nx, m * nx)
+
+
+def newton_state(name):
+    """A reduced state for the weight checks: a seeded grid between the
+    barriers, the shift family's exact solution, or the sample's solution."""
+    if name.startswith("seed"):
+        pb = small_problem()
+        return pb, random_grid(pb, int(name[4:]))[0]
+    if name == "shift":
+        pb = shift_problem(grid=(16,), nt=9)
+        return pb, pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
+    pb = small_problem(sweep_tol=1e-12)
+    return pb, solve(pb)[0]
+
+
+class TestNewton:
+    @pytest.mark.parametrize("state", ["seed0", "seed1", "seed2", "shift", "sample"])
+    def test_weights_match_central_differences(self, state):
+        pb, U = newton_state(state)
+        machine = geodesic._SweepN1(pb)
+        F, wx, wd = machine.linearize(U[2:], U[1:-1], U[:-2])
+        assert np.array_equal(F, machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1])
+        J = dense_jacobian(wx, wd)
+        m, nx = F.shape
+        fd = np.empty_like(J)
+        h = 1e-6
+        for col, (k, x) in enumerate(itertools.product(range(m), range(nx))):
+            Up, Um = U.copy(), U.copy()
+            Up[k + 1, x] += h
+            Um[k + 1, x] -= h
+            vp = machine.updates(Up[2:], Up[1:-1], Up[:-2]).copy()
+            vm = machine.updates(Um[2:], Um[1:-1], Um[:-2])
+            fd[:, col] = ((vp - vm) / (2 * h)).reshape(-1)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
+    def test_block_thomas_matches_dense_solve(self, shift):
+        pb = small_problem(nt=13)
+        U, _ = random_grid(pb, 7)
+        F, wx, wd = geodesic._SweepN1(pb).linearize(U[2:], U[1:-1], U[:-2])
+        delta = geodesic._block_thomas(shift, wx, wd, F)
+        M = (1.0 + shift) * np.eye(F.size) - dense_jacobian(wx, wd)
+        assert np.max(np.abs(delta.reshape(-1) - np.linalg.solve(M, F.reshape(-1)))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make",
+        [small_problem] + [lambda k=k: generic_problems(3)[k] for k in range(3)] + [shift_problem],
+        ids=["sample", "generic0", "generic1", "generic2", "shift"],
+    )
+    def test_matches_relaxed_sweeps(self, make):
+        pb = make()
+        U0 = lower_start(pb)
+        newton = geodesic._newton_solve(pb, U0)
+        sweeps = geodesic._sweep_solve(replace(pb, sweep_tol=1e-13), U0)
+        assert newton.solver == "newton" and sweeps.solver == "sweeps"
+        assert newton.stop_reason in ("projected", "plateau")
+        assert newton.perron_check <= 1e-14
+        assert np.max(np.abs(newton.U - sweeps.U)) <= 1e-10
+        if make is shift_problem:
+            exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
+            assert np.max(np.abs(newton.U - exact)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kw, reason",
+        [
+            (dict(sweep_tol=1e-8), "projected"),
+            (dict(sweep_tol=0.0), "plateau"),
+            (dict(sweep_tol=1e-8, max_iters=3), "max_iters"),
+        ],
+    )
+    def test_stop_reason(self, kw, reason):
+        U, rep = solve(small_problem(**kw))
+        assert rep.solver == "newton"
+        assert (rep.omega, rep.rho_estimate, rep.plain_sweeps) == (1.0, 0.0, 0)
+        assert rep.details["guard_sweep"] == 0
+        assert rep.stop_reason == reason
+        assert rep.converged == (reason != "max_iters")
+        if reason == "max_iters":
+            assert rep.iterations == 3
+            assert rep.perron_check > 1e-6
+        else:
+            assert rep.perron_check <= 1e-14
+
+    def test_singular_block_raises(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(ValidationError, match="singular Newton block at t row 1"):
+            solve(small_problem())
+
+    def test_non_finite_step_raises(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "_block_thomas", lambda s, wx, wd, F: np.full_like(F, np.inf))
+        with pytest.raises(ValidationError, match="Newton step 1 is not finite"):
+            solve(small_problem())
+
+    def test_generic_reduced_set_meets_the_residual_gate(self):
+        for pb in generic_problems(12):
+            U, rep = solve(pb)
+            assert rep.solver == "newton" and rep.converged
+            assert rep.residual_regular_max <= 1e-5
+            assert rep.perron_check <= 1e-14
+            assert rep.two_init_discrepancy <= 10.0 * pb.sweep_tol
 
 
 class TestValidateSlices:
