@@ -121,8 +121,7 @@ class DegenerateAngleError(ValueError):
 
 def theta(H):
     """Spatial angle sum(arctan(lambda_k)) of a Hermitian matrix."""
-    H = check_hermitian(H)
-    return float(np.sum(np.arctan(np.linalg.eigvalsh(H))))
+    return float(theta_batch(check_hermitian(H)))
 
 
 def theta_symmetric(A):
@@ -133,9 +132,7 @@ def theta_symmetric(A):
 
 def modulus_r(H):
     """sqrt(prod(1 + lambda_k^2)); equals |det(I + iH)| and is >= 1."""
-    H = check_hermitian(H)
-    lam = np.linalg.eigvalsh(H)
-    return float(np.sqrt(np.prod(1.0 + lam * lam)))
+    return float(modulus_r_batch(check_hermitian(H)))
 
 
 def degenerate_identity(m, eta=0.0):
@@ -375,15 +372,21 @@ def slice_angle_gap(A, eps=EPS_SINGULAR):
 # acceptance runs, where 1e4..1e5 small eigenproblems per call are routine.
 
 
+def _eigvalsh(H):
+    """Ascending eigenvalues of a (..., n, n) Hermitian stack, 1x1 read off the diagonal."""
+    H = np.asarray(H, dtype=complex)
+    if H.shape[-1] == 1:
+        return H[..., 0, 0].real[..., None]
+    return np.linalg.eigvalsh(H)
+
+
 def theta_batch(H):
     """theta over a (..., n, n) stack of Hermitian matrices."""
-    H = np.asarray(H, dtype=complex)
-    return np.sum(np.arctan(np.linalg.eigvalsh(H)), axis=-1)
+    return np.sum(np.arctan(_eigvalsh(H)), axis=-1)
 
 
 def modulus_r_batch(H):
-    H = np.asarray(H, dtype=complex)
-    lam = np.linalg.eigvalsh(H)
+    lam = _eigvalsh(H)
     return np.sqrt(np.prod(1.0 + lam * lam, axis=-1))
 
 

@@ -102,8 +102,8 @@ from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import (
     _hessian,
+    _roll,
     angle_field,
-    complex_hessian,
     h_membership,
     lambda_endo,
     neighbourhood,
@@ -280,28 +280,49 @@ def strictify(U, eps, which, barriers):
     return (1.0 - eps) * np.asarray(U, dtype=float) + eps * ui
 
 
+def _check_grid(problem, U):
+    """U as a float array, checked to hold one value per space-time grid point."""
+    U = np.asarray(U, dtype=float)
+    shape = (problem.nt,) + problem.geom.grid
+    if U.shape != shape:
+        raise PreconditionError(f"space-time grid must have shape {shape}, got {U.shape}")
+    return U
+
+
+def _spacetime_matrices(problem, U, psi):
+    """Space-time matrices of U's interior t rows, one per point.  U's axes after
+    t are periodic grid axes or 3-wide patches of them, and ``psi`` is
+    psi_alpha on the same axes (or None)."""
+    geom, n, ht = problem.geom, problem.geom.n, problem.ht
+    mid = U[1:-1]
+    udot = (U[2:] - U[:-2]) / (2.0 * ht)
+    H = np.empty(mid.shape + (n + 1, n + 1), dtype=complex)
+    H[..., 0, 0] = (U[2:] - 2.0 * mid + U[:-2]) / (ht * ht)
+    for j in range(n):
+        b = zderiv(geom, udot, j)
+        H[..., 1 + j, 0] = b
+        H[..., 0, 1 + j] = np.conj(b)
+    H[..., 1:, 1:] = geom.alpha0 + _hessian(geom, mid if psi is None else psi + mid)
+    return H
+
+
 def assemble_jet(problem, U, it, ix):
     """SpaceTimeJet at interior t-index ``it`` and spatial multi-index ``ix``.
 
-    Reads only the 3^(k+1) neighbourhood of the point (k grid axes) and
-    applies the grid operators to it: on a periodic 3-wide patch their
-    rolls reach the point's true neighbours, so the jet equals the point's
-    row of ``interior_jets`` bitwise.
+    Runs ``interior_jets``' assembly on the point's periodic 3-wide patch,
+    3^(k+1) values for k grid axes, and keeps its centre: on the patch the
+    periodic differences reach the point's true neighbours, so the jet
+    equals the point's row of ``interior_jets`` bitwise.
     """
+    U = _check_grid(problem, U)
     if not (0 < it < problem.nt - 1):
         raise PreconditionError("jet assembly needs an interior t index")
     geom = problem.geom
     index = neighbourhood(geom, ix)
+    psi = None if geom.psi_alpha is None else geom.psi_alpha[index]
     W = U[it - 1 : it + 2][(slice(None),) + index]
-    centre = (1,) * len(geom.grid)
-    ht = problem.ht
-    udd = (W[2][centre] - 2.0 * W[1][centre] + W[0][centre]) / (ht * ht)
-    udot = (W[2] - W[0]) / (2.0 * ht)
-    b = np.array([zderiv(geom, udot, j)[centre] for j in range(geom.n)], dtype=complex)
-    # lambda_endo's potential, psi_alpha + phi, on the patch
-    pot = W[1] if geom.psi_alpha is None else geom.psi_alpha[index] + W[1]
-    spatial = geom.alpha0 + _hessian(geom, pot)[centre]
-    return SpaceTimeJet(udotdot=float(udd), b=b, spatial=spatial)
+    H = _spacetime_matrices(problem, W, psi)[(0,) + (1,) * len(geom.grid)]
+    return SpaceTimeJet(udotdot=float(H[0, 0].real), b=H[1:, 0], spatial=H[1:, 1:])
 
 
 def harmonic_residual(jet, c):
@@ -397,8 +418,7 @@ class _SweepN1:
         ht = problem.ht
         a, gs = _center_coeffs(problem)
         g = float(gs[0])
-        psi = geom.psi_alpha if geom.psi_alpha is not None else geom.zeros()
-        lam0 = float(geom.alpha0[0, 0].real) + complex_hessian(geom, psi)[..., 0, 0].real
+        lam0 = lambda_endo(geom)[..., 0, 0].real
         # the Perron quadratic in w = v - m0 is w^2 - rho w - kappa = 0 (see
         # ``updates``); rho0 is the part of rho that does not depend on u
         self.rho0 = (cosc + sinc * lam0) / (g * sinc)
@@ -503,7 +523,7 @@ class _SweepN1:
         half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
         D = up - dn
         wx = -lam_w * two_w * half_inv_r
-        wd = b_w * (np.roll(D, -1, axis=1) - np.roll(D, 1, axis=1)) * half_inv_r
+        wd = b_w * (_roll(D, -1, -1) - _roll(D, 1, -1)) * half_inv_r
         return residual, wx, wd
 
     def max_change(self, new, old):
@@ -580,31 +600,11 @@ class SolverReport:
 def interior_jets(problem, U):
     """Assembled space-time matrices of every interior point, flattened.
 
-    Returns (H, shape) with H of shape (count, n+1, n+1).
+    Returns (H, shape) with H of shape (count, n+1, n+1) and shape =
+    (nt - 2,) + grid, from one call of the assembly ``assemble_jet`` shares.
     """
-    geom = problem.geom
-    n = geom.n
-    ht = problem.ht
-    udd = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / (ht * ht)
-    udot = (U[2:] - U[:-2]) / (2.0 * ht)
-    bs = []
-    for j in range(n):
-        comp = np.empty(udot.shape, dtype=complex)
-        for k in range(udot.shape[0]):
-            comp[k] = zderiv(geom, udot[k], j)
-        bs.append(comp)
-    spatial = np.empty(udd.shape + (n, n), dtype=complex)
-    for k in range(udd.shape[0]):
-        spatial[k] = lambda_endo(geom, U[1 + k])
-    count = int(np.prod(udd.shape))
-    H = np.zeros((count, n + 1, n + 1), dtype=complex)
-    H[:, 0, 0] = udd.reshape(-1)
-    for j in range(n):
-        bj = bs[j].reshape(-1)
-        H[:, 1 + j, 0] = bj
-        H[:, 0, 1 + j] = np.conj(bj)
-    H[:, 1:, 1:] = spatial.reshape(count, n, n)
-    return H, udd.shape
+    H = _spacetime_matrices(problem, _check_grid(problem, U), problem.geom.psi_alpha)
+    return H.reshape((-1,) + H.shape[-2:]), H.shape[:-2]
 
 
 def _residual_stats(problem, U):
@@ -627,16 +627,15 @@ def _residual_stats(problem, U):
 
 
 def validate_slices(problem, U, tol_slice=1e-3):
-    """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2]."""
+    """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2],
+    from one ``angle_field`` call on the stack of slices."""
     c = problem.branch.c
-    ranges = []
-    ok = True
-    for it in range(1, problem.nt - 1):
-        fld = angle_field(problem.geom, U[it])
-        ranges.append((fld.vmin, fld.vmax))
-        if fld.vmin < c - math.pi / 2 - tol_slice or fld.vmax > c + math.pi / 2 + tol_slice:
-            ok = False
-    return ranges, ok
+    values = angle_field(problem.geom, _check_grid(problem, U)[1:-1]).values
+    values = values.reshape(problem.nt - 2, -1)
+    vmin, vmax = values.min(axis=1), values.max(axis=1)
+    low = np.any(vmin < c - math.pi / 2 - tol_slice)
+    ok = not (low or np.any(vmax > c + math.pi / 2 + tol_slice))
+    return list(zip(vmin.tolist(), vmax.tolist())), ok
 
 
 # Sweeps per window: the projected stop, the relaxation trigger and the
@@ -934,7 +933,7 @@ def solve(problem, init="lower"):
         )
     barriers = build_barriers(problem)
     if isinstance(init, np.ndarray):
-        U0 = init.copy()
+        U0 = _check_grid(problem, init).copy()
     elif init == "lower":
         U0 = barriers.lower.copy()
     elif init == "linear":

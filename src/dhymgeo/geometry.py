@@ -18,6 +18,10 @@ The constant-plus-Hessian-exact representation keeps the background
 Grid axes are ordered (x_1..x_n, y_1..y_n).  For n = 1 a reduced mode
 drops the y axis entirely (y-invariant data), which is the fast lane the
 geodesic solver uses for convergence studies.
+
+The operators take the grid axes last and treat any leading axes as batch
+axes, so a stack of fields, such as the interior t slices of a space-time
+grid, goes through one call.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import theta_batch
 from .errors import PreconditionError
 from .linalg import check_hermitian
 from .subequations import Branch
@@ -83,7 +88,7 @@ class TorusGeometry:
         return tuple(1.0 / g for g in self.grid)
 
     def x_axis(self, j):
-        """Array axis carrying the x_j coordinate (j zero-based)."""
+        """Grid axis carrying the x_j coordinate (j zero-based)."""
         return j
 
     def y_axis(self, j):
@@ -131,10 +136,11 @@ def _d1(u, axis, h):
 
 
 def _hessian(geom, u):
-    """``complex_hessian`` of a field of any shape with one axis per grid
-    axis, the differences taken periodically along each."""
+    """``complex_hessian`` of a field whose last axes are grid axes or periodic
+    patches of them, the differences taken periodically along each."""
     n = geom.n
     h = geom.spacings
+    ndim = len(geom.grid)  # grid axis a is array axis a - ndim (k is a loop index)
     first = {}
 
     def second(a, b):
@@ -143,10 +149,10 @@ def _hessian(geom, u):
         if a is None or b is None:
             return 0.0
         if a == b:
-            return _d2(u, a, h[a])
+            return _d2(u, a - ndim, h[a])
         if a not in first:
-            first[a] = _d1(u, a, h[a])
-        return _d1(first[a], b, h[b])
+            first[a] = _d1(u, a - ndim, h[a])
+        return _d1(first[a], b - ndim, h[b])
 
     out = np.zeros(np.shape(u) + (n, n), dtype=complex)
     for j in range(n):
@@ -160,36 +166,35 @@ def _hessian(geom, u):
 
 
 def complex_hessian(geom, u):
-    """Per-point complex Hessian of a real grid potential, shape grid + (n, n).
+    """Per-point complex Hessian of a real potential, grid axes last: u.shape + (n, n).
 
     Self-adjoint by construction up to round-off; the result is
     symmetrized so downstream spectral calls see exact Hermitian data.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != geom.grid:
-        raise PreconditionError("potential shape must match the geometry grid")
+    if u.shape[-len(geom.grid) :] != geom.grid:
+        raise PreconditionError("potential shape must end in the geometry grid")
     return _hessian(geom, u)
 
 
 def zderiv(geom, u, j):
-    """Holomorphic derivative (d/dx_j - i d/dy_j)/2 of a real grid field."""
+    """Holomorphic derivative (d/dx_j - i d/dy_j)/2 of a real field, grid axes last."""
     u = np.asarray(u, dtype=float)
-    dx = _d1(u, geom.x_axis(j), geom.spacings[geom.x_axis(j)])
-    ya = geom.y_axis(j)
+    h, ndim = geom.spacings, len(geom.grid)
+    xa, ya = geom.x_axis(j), geom.y_axis(j)
+    dx = _d1(u, xa - ndim, h[xa])
     if ya is None:
         return 0.5 * dx.astype(complex)
-    return 0.5 * (dx - 1j * _d1(u, ya, geom.spacings[ya]))
+    return 0.5 * (dx - 1j * _d1(u, ya - ndim, h[ya]))
 
 
 def lambda_endo(geom, phi=None):
-    """Relative endomorphism field alpha0 + cxhess(psi_alpha + phi)."""
-    pot = geom.zeros()
-    if geom.psi_alpha is not None:
-        pot = pot + geom.psi_alpha
+    """Relative endomorphism field alpha0 + cxhess(psi_alpha + phi), grid axes last."""
+    pot = geom.zeros() if geom.psi_alpha is None else geom.psi_alpha
     if phi is not None:
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != geom.grid:
-            raise PreconditionError("phi shape must match the geometry grid")
+        if phi.shape[-len(geom.grid) :] != geom.grid:
+            raise PreconditionError("phi shape must end in the geometry grid")
         pot = pot + phi
     return geom.alpha0 + complex_hessian(geom, pot)
 
@@ -214,14 +219,6 @@ def neighbourhood(geom, ix):
     return np.ix_(*index)
 
 
-def eigs_field(F):
-    """Ascending eigenvalues of a grid + (n, n) Hermitian field."""
-    F = np.asarray(F, dtype=complex)
-    if F.shape[-1] == 1:
-        return F[..., 0, 0].real[..., None]
-    return np.linalg.eigvalsh(F)
-
-
 @dataclass
 class AngleField:
     values: np.ndarray
@@ -240,8 +237,7 @@ class AngleField:
 
 def angle_field(geom, phi=None):
     """Pointwise Lagrangian angle of lambda_endo, with min/max/oscillation."""
-    lam = eigs_field(lambda_endo(geom, phi))
-    return AngleField(np.sum(np.arctan(lam), axis=-1))
+    return AngleField(theta_batch(lambda_endo(geom, phi)))
 
 
 def z_integral(geom, phi=None):

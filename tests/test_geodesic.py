@@ -235,6 +235,35 @@ class TestPointJet:
         with pytest.raises(PreconditionError):
             perron_update(pb, U, 2, ix, bars.lower, bars.upper)
 
+    @pytest.mark.parametrize("call", ["assemble_jet", "perron_update", "solve", "interior_jets"])
+    @pytest.mark.parametrize("shape", ["wide", "transposed", "short-t", "one-slice"])
+    def test_grid_shape_raises(self, call, shape):
+        # a grid of the wrong shape would be read through the wrong neighbours
+        if shape == "transposed":
+            geom = TorusGeometry(n=1, grid=(8, 16), alpha0=[[3.0]])
+            pb = GeodesicProblem(
+                geom=geom,
+                phi1=geom.zeros(),
+                phi2=geom.zeros() + 0.1,
+                branch=Branch(c=math.atan(3.0), n=1),
+                nt=7,
+                check_two_init=False,
+            )
+            U = np.swapaxes(build_barriers(pb).lower, 1, 2).copy()
+        else:
+            pb = small_problem()
+            lower = build_barriers(pb).lower
+            U = {"wide": np.tile(lower, (1, 2)), "short-t": lower[:-1], "one-slice": lower[3]}[shape]
+        with pytest.raises(PreconditionError, match="space-time grid must have shape"):
+            if call == "assemble_jet":
+                assemble_jet(pb, U, 2, (3,) * len(pb.geom.grid))
+            elif call == "perron_update":
+                perron_update(pb, U, 2, (3,) * len(pb.geom.grid))
+            elif call == "solve":
+                solve(pb, init=U)
+            else:
+                interior_jets(pb, U)
+
     def test_bad_index_raises_reduced(self):
         pb = small_problem()
         U = build_barriers(pb).lower
@@ -1056,6 +1085,22 @@ class TestValidateSlices:
         U[4] += 50.0 * np.cos(2 * math.pi * pb.geom.coordinates()["x1"])
         _, ok = validate_slices(pb, U)
         assert not ok
+
+    @pytest.mark.parametrize("grid", ["reduced-n1", "full-n1", "n2"])
+    def test_equals_per_slice_loop(self, grid):
+        pb = small_problem() if grid == "reduced-n1" else psi_problem(1 if grid == "full-n1" else 2)
+        rng = np.random.default_rng(62)
+        c = pb.branch.c
+        for amp in (1e-3, 0.03, 0.3):
+            U = amp * rng.standard_normal((pb.nt,) + pb.geom.grid)
+            # the reference: one angle_field call per interior t slice
+            ranges, ok = [], True
+            for it in range(1, pb.nt - 1):
+                fld = angle_field(pb.geom, U[it])
+                ranges.append((fld.vmin, fld.vmax))
+                if fld.vmin < c - math.pi / 2 - 1e-3 or fld.vmax > c + math.pi / 2 + 1e-3:
+                    ok = False
+            assert validate_slices(pb, U) == (ranges, ok)
 
 
 class TestStrictify:

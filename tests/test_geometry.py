@@ -102,6 +102,68 @@ class TestComplexHessian:
         assert np.max(np.abs(got - exact)) < 0.02
 
 
+def stack_geom(kind, rng):
+    """Reduced n = 1, full n = 1, or n = 2 with a psi_alpha background."""
+    if kind == "reduced-n1":
+        return TorusGeometry(n=1, grid=(16,), alpha0=[[3.0]], reduced=True)
+    if kind == "full-n1":
+        return TorusGeometry(n=1, grid=(8, 16), alpha0=[[3.0]])
+    grid = (8,) * 4
+    a0 = np.array([[1.5, 0.2 - 0.1j], [0.2 + 0.1j, 2.0]])
+    return TorusGeometry(n=2, grid=grid, alpha0=a0, psi_alpha=0.01 * rng.standard_normal(grid))
+
+
+class TestStackedOperators:
+    """Leading axes batch: a (k, *grid) stack in one call equals the per-slice calls."""
+
+    @pytest.mark.parametrize("kind", ["reduced-n1", "full-n1", "n2-psi"])
+    def test_stack_equals_slices(self, kind):
+        rng = np.random.default_rng(47)
+        g = stack_geom(kind, rng)
+        for _ in range(3):
+            k = int(rng.integers(1, 5))
+            u = rng.uniform(-0.05, 0.05) * rng.standard_normal((k,) + g.grid)
+
+            def per_slice(op):
+                return np.stack([op(s) for s in u])
+
+            assert np.array_equal(
+                complex_hessian(g, u), per_slice(lambda s: complex_hessian(g, s))
+            )
+            for j in range(g.n):
+                assert np.array_equal(zderiv(g, u, j), per_slice(lambda s: zderiv(g, s, j)))
+            assert np.array_equal(lambda_endo(g, u), per_slice(lambda s: lambda_endo(g, s)))
+            assert np.array_equal(
+                angle_field(g, u).values, per_slice(lambda s: angle_field(g, s).values)
+            )
+
+    def test_reduced_equals_full_on_y_invariant_data(self):
+        rng = np.random.default_rng(48)
+        red = TorusGeometry(n=1, grid=(16,), alpha0=[[3.0]], reduced=True)
+        full = TorusGeometry(n=1, grid=(16, 8), alpha0=[[3.0]])
+        for _ in range(5):
+            u = 0.1 * rng.standard_normal((3, 16))
+            wide = np.repeat(u[..., None], 8, axis=-1)
+
+            def spread(a):
+                return np.repeat(a[:, :, None], 8, axis=2)
+
+            assert np.array_equal(complex_hessian(full, wide), spread(complex_hessian(red, u)))
+            assert np.array_equal(zderiv(full, wide, 0), spread(zderiv(red, u, 0)))
+            assert np.array_equal(lambda_endo(full, wide), spread(lambda_endo(red, u)))
+            assert np.array_equal(angle_field(full, wide).values, spread(angle_field(red, u).values))
+
+    def test_trailing_axes_must_be_the_grid(self):
+        g = TorusGeometry(n=1, grid=(8, 16), alpha0=[[3.0]])
+        for bad in (np.zeros((16, 8)), np.zeros((2, 16, 8)), np.zeros(16), np.zeros(())):
+            with pytest.raises(PreconditionError):
+                complex_hessian(g, bad)
+            with pytest.raises(PreconditionError):
+                lambda_endo(g, bad)
+            with pytest.raises(PreconditionError):
+                angle_field(g, bad)
+
+
 class TestLambdaEndo:
     def test_background_only(self):
         g = geom1(16, 16)
