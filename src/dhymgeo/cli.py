@@ -37,7 +37,7 @@ from .geometry import (
     write_grid,
     z_integral,
 )
-from .geodesic import NEWTON, solve
+from .geodesic import solve
 from .linalg import format_matrix_literal, parse_matrix_literal
 from .subequations import (
     Branch,
@@ -205,13 +205,10 @@ def cmd_geodesic(args):
     rep.add("margin_phi1", problem.margins[0])
     rep.add("margin_phi2", problem.margins[1])
     rep.add("iterations", report.iterations)
+    rep.add("krylov_iterations", report.krylov_iterations)
     rep.add("final_max_update", report.final_max_update)
     rep.add("converged", report.converged)
     rep.add("stop_reason", report.stop_reason)
-    rep.add("omega", report.omega)
-    rep.add("rho_estimate", report.rho_estimate)
-    rep.add("plain_sweeps", report.plain_sweeps)
-    rep.add("guard_sweep", report.details["guard_sweep"])
     rep.add("perron_check", report.perron_check)
     rep.add("n_regular", report.n_regular)
     rep.add("n_singular", report.n_singular)
@@ -224,23 +221,10 @@ def cmd_geodesic(args):
     if report.two_init_discrepancy is not None:
         rep.add("two_init_discrepancy", report.two_init_discrepancy)
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
-    steps = "Newton steps" if report.solver == NEWTON else "sweeps"
-    if report.stop_reason == "plateau":
-        print(
-            f"note: the {steps} stopped at the rounding plateau, before the "
-            "projected distance met sweep_tol",
-            file=sys.stderr,
-        )
     if report.stop_reason == "max_iters":
         print(
-            f"note: the {steps} hit max_iters={problem.max_iters} before the "
+            f"note: the Newton steps hit max_iters={problem.max_iters} before the "
             "projected distance met sweep_tol",
-            file=sys.stderr,
-        )
-    if report.details["guard_sweep"]:
-        print(
-            f"note: relaxation did not contract; plain sweeps from sweep "
-            f"{report.details['guard_sweep']}",
             file=sys.stderr,
         )
 

@@ -15,7 +15,7 @@ Layout::
 
     [solver]
     nt = 33
-    mode = jacobi           ; the only sweep (relaxed Jacobi); may be left out
+    mode = jacobi           ; the only sweep (Jacobi); may be left out
     sweep_tol = 1e-12
     bisect_tol = 1e-10
     max_iters = 100000

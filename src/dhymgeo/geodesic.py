@@ -32,67 +32,61 @@ make it negative and nothing is clamped, and the root is taken in the
 form that does not cancel.  (The same quadratic in v has coefficients
 near 1e4 on a 32-point grid; its discriminant cancels two terms near 1e9
 and loses about 1e-14 in v, a floor on which the sweeps would stall.)
-One vectorized kernel evaluates it on the whole interior at once, which
-is one Jacobi sweep.  (A four-colour Gauss-Seidel ordering reaches the
-same fixed point in about half the sweeps, but it runs the kernel four
-times a sweep on half the interior each, and on small grids a call costs
-about as much on half the interior as on all of it.)  The generic path
-(any n), ``perron_update``,
-brackets v* between the barriers and takes it from the polynomial
-Im(e^{-ic} det(I0 + iH(v))), of degree n + 1 in v: in the regime
+One vectorized kernel evaluates it on the whole interior at once: the
+Perron map T, one Jacobi sweep.  The generic path (any n),
+``perron_update``, brackets v* between the barriers and takes it from the
+polynomial Im(e^{-ic} det(I0 + iH(v))), of degree n + 1 in v: in the regime
 (n-1)pi/2 < c < n pi/2 no higher level c + k pi is crossed first, so v* is
 its smallest root in the bracket.  Two evaluations of the lifted angle at
 the root -+ bisect_tol/2 certify it; bisection takes over from the
 narrowed bracket only where they do not (on or near the singular set).
 
-The sweeps are over-relaxed once their contraction is measured, which
-keeps the fixed point (the Perron solution) and cuts the sweep count by
-about the square root.  A solve starts with plain sweeps and measures the
-per-sweep contraction ratio of the largest update over windows of 30
-sweeps.  When two successive window ratios agree, the ratio is rho, the
-spectral radius of the linearized Jacobi sweep, and the sweeps take
-Chebyshev steps u+ = u_prev + w_k (T(u) - u_prev) with w_1 = 1,
-w_2 = 1 / (1 - rho^2 / 2) and w_{k+1} = 1 / (1 - rho^2 w_k / 4), which
-tend to omega = 2 / (1 + sqrt(1 - rho^2)) (Golub and Varga).  Relaxed
-updates are not monotone, so progress is judged on the largest update of
-each window.  A guard restores the grid at the start of relaxation and
-finishes with plain sweeps when four windows pass without a new lowest
-maximum above rounding level, or an update is not finite.  A relaxed
-solve ends with one window of plain sweeps, which settle the rounding
-noise the weights amplify, and every solve reports the largest move of
-one more plain sweep from its result (the Perron check).
+Every grid is solved by Newton's method on F(U) = T(U) - U, whose zero
+is the fixed point of the sweeps (the Perron solution).  T is smooth off
+rho = kappa = 0, and with r the square root of the discriminant its
+derivative has neighbour weights per point and spatial axis h
+(``_SweepN1.linearize``):
 
-Reduced grids (one x axis) are solved by Newton's method on
-F(U) = T(U) - U instead, with T the closed-form Perron map; full grids
-keep the relaxed sweeps.  T is smooth off rho = kappa = 0, and with r the
-square root of the discriminant its derivative has eight neighbour
-weights per point (``_SweepN1.linearize``):
+    wx_h = -(w/r) lam_w_h                at (t, x+-e_h),
+    1/2 - sum_h wx_h                     at (t+-1, x),
+    +-wd_h, wd_h = b_w_h Delta_h / (2r)  at the diagonal neighbours,
 
-    wx = -(w/r) lam_w             at (t, x+-1),
-    1/2 - wx                      at (t+-1, x),
-    +-wd, wd = b_w Delta / (2r)   at the diagonal neighbours,
-
-where Delta = D(x+1) - D(x-1) is the mixed difference of
-D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  So the Jacobian is
-block tridiagonal in t with periodic-tridiagonal nx x nx blocks, and one
-step is a block LU (Thomas) solve, one dense inverse per t row.  Plain
-Newton from the lower barrier meets singular blocks: the barrier's sheets
-have u_t constant in x, so kappa = 0, and a t row with rho < 0 and
-kappa = 0 has the periodic x-Laplacian, null on constants, as its block.
+where Delta_h = D(x+e_h) - D(x-e_h) is the mixed difference of
+D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  Plain Newton from the
+lower barrier meets singular Jacobians: the barrier's sheets have u_t
+constant in x, so kappa = 0, and a t row with rho < 0 and kappa = 0 has
+the periodic spatial Laplacian, null on constants, as its block.
 Pseudo-transient continuation (Kelley and Keyes, SIAM J. Numer. Anal. 35,
 1998) shifts the step, ((1 + s) I - J) delta = F with s = 1/dtau, and
 switched evolution relaxation sets dtau: 100 at first, then
 dtau <- dtau sup|F_old| / sup|F_new|, with s = 0 once it falls below
-1e-12, so the last steps are Newton steps.  A Newton solve stops on
-``projected`` when an unshifted step, which estimates the distance to the
-fixed point, moves the grid by less than ``sweep_tol``; on ``plateau``
-when sup|F| falls to 8 eps max(1, sup|U|) first; or on ``max_iters``
-steps.  A singular block or a non-finite step raises ValidationError.
+1e-12, so the last steps are Newton steps.
+
+The linear solve depends on the grid.  On a reduced grid (one x axis) the
+Jacobian is block tridiagonal in t with periodic-tridiagonal nx x nx
+blocks, and a step is an exact block LU (Thomas) solve, one dense inverse
+per t row.  On a full grid the blocks are nx ny x nx ny, too large to
+invert, and the step comes from restarted GMRES (Saad and Schultz, 1986),
+Jacobian-free in the sense of Knoll and Keyes (J. Comput. Phys. 193,
+2004): the matrix-vector product is formed from the weights, and the
+solve stops at a residual of 1e-2 |F|.  It is right preconditioned by
+(1 + s) I - Jbar, where Jbar keeps the per-t-row means of wx_h and drops
+wd; that matrix is diagonal in the spatial Fourier modes and tridiagonal
+in t for each, so one Thomas elimination per mode inverts it.
+
+A Newton solve stops on ``projected`` when an unshifted step, which
+estimates the distance to the fixed point, moves the grid by less than
+``sweep_tol``; on ``plateau`` when sup|F| falls to 8 eps max(1, sup|U|)
+first; or on ``max_iters`` steps.  Every solve reports the largest move
+of one plain sweep from its result (the Perron check).  A singular block
+or preconditioner pivot, a GMRES breakdown or a non-finite step raises
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from dataclasses import dataclass, field
 
@@ -102,12 +96,11 @@ from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import (
     _hessian,
-    _roll,
     angle_field,
     h_membership,
     lambda_endo,
+    _zderiv,
     neighbourhood,
-    zderiv,
 )
 from .linalg import check_hermitian
 from .subequations import Branch
@@ -115,9 +108,8 @@ from .subequations import Branch
 T_TOTAL = math.log(2.0)
 
 JACOBI = "jacobi"
-# The solver a run used: Newton on reduced grids, relaxed sweeps on full ones.
+# The solver of every run (the report's ``solver`` line).
 NEWTON = "newton"
-SWEEPS = "sweeps"
 
 # Padding beyond the barrier sandwich for the bracket of the pointwise update.
 _BRACKET_PAD = 1.0
@@ -146,9 +138,9 @@ class GeodesicProblem:
     Both must be admissible with positive margin and the branch must lie
     in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
     the width of the certified bracket of a pointwise update.  ``mode``
-    names the sweep of full grids; relaxed Jacobi is the only one.  Reduced
-    grids are solved by Newton steps, which ``sweep_tol`` and ``max_iters``
-    bound as they bound the sweeps.
+    names the sweep, the Perron map T; Jacobi is the only one.  Grids are
+    solved by Newton steps on T(U) - U, which ``sweep_tol`` and
+    ``max_iters`` bound.
     """
 
     geom: object
@@ -172,7 +164,7 @@ class GeodesicProblem:
             raise PreconditionError("need at least 5 radial grid points")
         if self.mode == "gauss-seidel":
             raise PreconditionError(
-                "sweep mode 'gauss-seidel' was removed; the sweep is relaxed Jacobi "
+                "sweep mode 'gauss-seidel' was removed; the sweep is Jacobi "
                 "(mode = jacobi)"
             )
         if self.mode != JACOBI:
@@ -299,7 +291,7 @@ def _spacetime_matrices(problem, U, psi):
     H = np.empty(mid.shape + (n + 1, n + 1), dtype=complex)
     H[..., 0, 0] = (U[2:] - 2.0 * mid + U[:-2]) / (ht * ht)
     for j in range(n):
-        b = zderiv(geom, udot, j)
+        b = _zderiv(geom, udot, j)
         H[..., 1 + j, 0] = b
         H[..., 0, 1 + j] = np.conj(b)
     H[..., 1:, 1:] = geom.alpha0 + _hessian(geom, mid if psi is None else psi + mid)
@@ -422,29 +414,34 @@ class _SweepN1:
         # the Perron quadratic in w = v - m0 is w^2 - rho w - kappa = 0 (see
         # ``updates``); rho0 is the part of rho that does not depend on u
         self.rho0 = (cosc + sinc * lam0) / (g * sinc)
-        # per spatial axis of a block of t rows: its neighbour slices, the
-        # weight of its second difference in rho, and the weight of its
-        # squared mixed difference in -4 kappa
+        # per spatial axis of a block of t rows: its array axis, its neighbour
+        # slices, the weight of its second difference in rho, and the weight
+        # of its squared mixed difference in -4 kappa
         self.axes = []
         for j in (geom.x_axis(0), geom.y_axis(0)):
             if j is not None:
                 h = geom.spacings[j]
                 self.axes.append(
                     (
+                        1 + j,
                         _pair_slices(1 + j),
                         1.0 / (4.0 * h * h * g),
                         -1.0 / ((4.0 * ht * h) ** 2 * a * g),
                     )
                 )
-        # Work arrays, all interior-shaped: a scratch array, the previous
-        # iterate of a Chebyshev step, and the kernel's.  Temporaries of a
-        # whole-grid expression sit above glibc's mmap threshold: each one
-        # was mapped, trimmed and faulted in again on every sweep, which
-        # cost about two thirds of a sweep on a 25 x 32 x 32 grid.
+        # Work arrays, all interior-shaped: a scratch array, the kernel's, and
+        # the weights per axis of ``linearize``.  Temporaries of a whole-grid
+        # expression sit above glibc's mmap threshold: each one was mapped,
+        # trimmed and faulted in again on every sweep, which cost about two
+        # thirds of a sweep on a 25 x 32 x 32 grid.  From ``linearize`` to
+        # the next ``updates`` the second kernel array holds the residual,
+        # ``jacobian_product`` runs in the first, third and fifth, and the
+        # fourth is idle (``_Krylov`` keeps its step there).
         shape = (problem.nt - 2,) + geom.grid
         self.scratch = np.empty(shape)
-        self.prev = np.empty(shape)
         self._work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
+        self.wx = np.empty((len(self.axes),) + shape)
+        self.wd = np.empty_like(self.wx)
 
     def updates(self, up, mid, dn):
         """Closed-form Perron values at every interior point.
@@ -464,7 +461,7 @@ class _SweepN1:
         M, R, D, F, W, positive = self._work
         np.add(up, dn, out=M)  # 2 m0
         np.subtract(up, dn, out=D)  # 2 ht u_t
-        for i, (pairs, lam_w, b_w) in enumerate(self.axes):
+        for i, (_, pairs, lam_w, b_w) in enumerate(self.axes):
             # rho: the second difference along the axis about m0
             for out, plus, minus in pairs:
                 np.add(mid[plus], mid[minus], out=W[out])
@@ -495,36 +492,80 @@ class _SweepN1:
         return D
 
     def linearize(self, up, mid, dn):
-        """(T(u) - u, wx, wd) on a reduced grid: the residual of the Perron map
-        and the neighbour weights of ``updates``, dv/du at each neighbour.
+        """(T(u) - u, wx, wd): the residual of the Perron map and the neighbour
+        weights of ``updates``, dv/du at each neighbour, with wx and wd
+        stacked over the spatial axes h.
 
         With r = sqrt(rho^2 + 4 kappa) and w the root, dv/drho = -w/r and
         dv/d(-4 kappa) = 1/(4r).  Through the weights lam_w of rho and b_w of
         -4 kappa (``axes``), with D = u(t+1) - u(t-1) and
-        Delta = D(x+1) - D(x-1):
+        Delta_h = D(x+e_h) - D(x-e_h):
 
-            wx = -(w/r) lam_w      at (t, x+1) and (t, x-1),
-            1/2 - wx               at (t+1, x) and (t-1, x),
-            wd = b_w Delta / (2r)  at (t+1, x+1) and (t-1, x-1),
-            -wd                    at (t+1, x-1) and (t-1, x+1).
+            wx_h = -(w/r) lam_w_h        at (t, x+e_h) and (t, x-e_h),
+            1/2 - sum_h wx_h             at (t+1, x) and (t-1, x),
+            wd_h = b_w_h Delta_h / (2r)  at (t+1, x+e_h) and (t-1, x-e_h),
+            -wd_h                        at (t+1, x-e_h) and (t-1, x+e_h).
 
         At r = 0 (rho = kappa = 0) the map has no derivative; the weights
         there are its limit along kappa = 0, rho -> 0+, where v = m0:
-        wx = wd = 0.
+        wx = wd = 0.  The residual is a kernel work array that the next
+        ``updates`` overwrites; the weights last until the next ``linearize``.
         """
-        ((_, lam_w, b_w),) = self.axes
-        residual = self.updates(up, mid, dn) - mid
+        v = self.updates(up, mid, dn)
         # ``updates`` leaves rho in R and -4 kappa in F
-        _, R, _, F, _, _ = self._work
-        r = np.sqrt(R * R - F)
+        r, R, _, F, two_w, positive = self._work
+        np.multiply(R, R, out=r)
+        np.subtract(r, F, out=r)
+        np.sqrt(r, out=r)
         # 2w in the kernel's two non-cancelling forms
-        two_w = R - r
-        np.divide(F, R + r, out=two_w, where=R > 0.0)
-        half_inv_r = np.divide(0.5, r, out=np.zeros_like(r), where=r > 0.0)
-        D = up - dn
-        wx = -lam_w * two_w * half_inv_r
-        wd = b_w * (_roll(D, -1, -1) - _roll(D, 1, -1)) * half_inv_r
-        return residual, wx, wd
+        np.greater(R, 0.0, out=positive)
+        np.subtract(R, r, out=two_w)
+        np.add(R, r, out=R)
+        np.divide(F, R, out=two_w, where=positive)
+        half_inv_r = F
+        half_inv_r.fill(0.0)
+        np.greater(r, 0.0, out=positive)
+        np.divide(0.5, r, out=half_inv_r, where=positive)
+        residual = np.subtract(v, mid, out=R)
+        D = np.subtract(up, dn, out=r)
+        for (_, pairs, lam_w, b_w), wx, wd in zip(self.axes, self.wx, self.wd):
+            np.multiply(two_w, -lam_w, out=wx)
+            np.multiply(wx, half_inv_r, out=wx)
+            for out, plus, minus in pairs:
+                np.subtract(D[plus], D[minus], out=wd[out])
+            np.multiply(wd, b_w, out=wd)
+            np.multiply(wd, half_inv_r, out=wd)
+        return residual, self.wx, self.wd
+
+    def jacobian_product(self, shift, v, out):
+        """out = ((1 + shift) I - J) v, with J the Jacobian of the Perron map at
+        the last ``linearize``; ``v`` is interior-shaped and taken as zero on
+        the two boundary rows.  Runs in the kernel's work arrays.
+
+        With S = v(t+1) + v(t-1) and Dv = v(t+1) - v(t-1),
+        J v = S/2 + sum_h [wx_h (v(x+e_h) + v(x-e_h) - S)
+        + wd_h (Dv(x+e_h) - Dv(x-e_h))].
+        """
+        S, Dv, T = self._work[0], self._work[2], self._work[4]
+        np.add(v[2:], v[:-2], out=S[1:-1])
+        np.copyto(S[0], v[1])
+        np.copyto(S[-1], v[-2])
+        np.subtract(v[2:], v[:-2], out=Dv[1:-1])
+        np.copyto(Dv[0], v[1])
+        np.negative(v[-2], out=Dv[-1])
+        np.multiply(S, 0.5, out=out)
+        for (_, pairs, _, _), wx, wd in zip(self.axes, self.wx, self.wd):
+            for o, plus, minus in pairs:
+                np.add(v[plus], v[minus], out=T[o])
+            np.subtract(T, S, out=T)
+            np.multiply(T, wx, out=T)
+            np.add(out, T, out=out)
+            for o, plus, minus in pairs:
+                np.subtract(Dv[plus], Dv[minus], out=T[o])
+            np.multiply(T, wd, out=T)
+            np.add(out, T, out=out)
+        np.multiply(v, 1.0 + shift, out=T)
+        return np.subtract(T, out, out=out)
 
     def max_change(self, new, old):
         """Largest |new - old| over the interior."""
@@ -533,39 +574,13 @@ class _SweepN1:
         return float(np.max(self.scratch))
 
 
-def _relax(new, old, omega):
-    """new <- old + omega (new - old), in place."""
-    np.subtract(new, old, out=new)
-    np.multiply(new, omega, out=new)
-    np.add(new, old, out=new)
-
-
-def _sweep_jacobi(machine, U, omega=None):
-    """Jacobi sweep u+ = T(u) of the whole interior.
-
-    With ``omega`` it is a Chebyshev step u+ = u_prev + omega (T(u) - u_prev)
-    instead; ``machine.prev`` holds u_prev and moves on to u.
-    """
-    mid = U[1:-1]
-    new = machine.updates(U[2:], mid, U[:-2])
-    if omega is not None:
-        if omega != 1.0:
-            _relax(new, machine.prev, omega)
-        np.copyto(machine.prev, mid)
-    delta = machine.max_change(new, mid)
-    np.copyto(mid, new)
-    return delta
-
-
 @dataclass
 class SolverReport:
     iterations: int
     final_max_update: float
     converged: bool
     stop_reason: str
-    omega: float
-    rho_estimate: float
-    plain_sweeps: int
+    krylov_iterations: int
     perron_check: float
     residual_regular_max: float
     n_regular: int
@@ -628,194 +643,28 @@ def _residual_stats(problem, U):
 
 def validate_slices(problem, U, tol_slice=1e-3):
     """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2],
-    from one ``angle_field`` call on the stack of slices."""
+    from one ``angle_field`` call on the stack of slices.  A slice whose
+    range is not finite fails."""
     c = problem.branch.c
     values = angle_field(problem.geom, _check_grid(problem, U)[1:-1]).values
     values = values.reshape(problem.nt - 2, -1)
     vmin, vmax = values.min(axis=1), values.max(axis=1)
-    low = np.any(vmin < c - math.pi / 2 - tol_slice)
-    ok = not (low or np.any(vmax > c + math.pi / 2 + tol_slice))
+    ok = bool(
+        np.all(vmin >= c - math.pi / 2 - tol_slice) and np.all(vmax <= c + math.pi / 2 + tol_slice)
+    )
     return list(zip(vmin.tolist(), vmax.tolist())), ok
-
-
-# Sweeps per window: the projected stop, the relaxation trigger and the
-# relaxed progress test all measure over it.
-_WINDOW = 30
-# Two successive window ratios agree when they differ by at most this
-# share of the distance 1 - r to the unit ratio.
-_RATIO_AGREE = 0.1
-# Relaxed updates are not monotone: the largest update of a window can
-# exceed the previous window's for a couple of windows while the error
-# still falls.  So a relaxed window makes progress when its largest update
-# is the lowest so far, and relaxation has stalled after this many windows
-# without progress.
-_STALE_WINDOWS = 4
-# At rounding level progress must cut the lowest window maximum by this
-# factor, and this many windows without progress end the solve: relaxed
-# sweeps reach the floor in a few windows and then only add noise.
-_PLATEAU_CUT = 0.7
-_PLATEAU_WINDOWS = 2
-# Plateau look-back of plain sweeps, which contract slowly.
-_PLAIN_LOOKBACK = 400
-# Updates below this size count as rounding level for the plateau stop.
-_PLATEAU_LEVEL = 1e-9
-
-
-def _relaxation(ratio):
-    """(rho, omega) from a measured per-sweep contraction ratio of plain sweeps.
-
-    rho is the spectral radius of the linearized Jacobi sweep, which is the
-    ratio itself.  omega = 2 / (1 + sqrt(1 - rho^2)) is the limit of the
-    Chebyshev weights.
-    """
-    return ratio, 2.0 / (1.0 + math.sqrt(1.0 - ratio * ratio))
-
-
-def _chebyshev_weights(rho):
-    """Golub-Varga weights 1, 1/(1 - rho^2/2), then w <- 1/(1 - rho^2 w/4)."""
-    w = 1.0
-    yield w
-    w = 1.0 / (1.0 - 0.5 * rho * rho)
-    while True:
-        yield w
-        w = 1.0 / (1.0 - 0.25 * rho * rho * w)
-
-
-def _agreed_ratio(history, window):
-    """The last window's per-sweep contraction ratio, if the window before
-    contracted at a ratio that agrees with it; else None."""
-    if len(history) <= 2 * window:
-        return None
-    h0, h1, h2 = history[-2 * window - 1], history[-window - 1], history[-1]
-    if not 0.0 < h2 < h1 < h0:
-        return None
-    r_old = (h1 / h0) ** (1.0 / window)
-    r_new = (h2 / h1) ** (1.0 / window)
-    return r_new if abs(r_new - r_old) <= _RATIO_AGREE * (1.0 - r_new) else None
-
-
-def _projected_converged(history, window, tol):
-    """Whether the projected distance to the fixed point is below ``tol``.
-
-    Sweeps contract geometrically with ratio r close to 1, so a small
-    update does not mean a small distance to the fixed point: the remaining
-    movement is about delta * r / (1 - r).  Testing that projection (not
-    the raw update) is what makes independent initializations agree to
-    O(tol).  Within the first window no ratio is measured yet and the raw
-    update stands in for the projection.
-    """
-    delta = history[-1]
-    if not delta < tol:
-        return False
-    if len(history) <= window:
-        return True
-    prev = history[-window - 1]
-    r = (delta / prev) ** (1.0 / window) if prev > 0.0 else 0.0
-    return r < 1.0 and delta * r / (1.0 - r) < tol
 
 
 @dataclass
 class _Run:
-    """One solve: the grid, how it stopped, and how it was relaxed."""
+    """One solve: the grid, how it stopped, and what it took."""
 
     U: np.ndarray
-    solver: str = SWEEPS
     iterations: int = 0
+    krylov_iterations: int = 0
     final_max_update: float = 0.0
     stop_reason: str = "max_iters"
-    omega: float = 1.0
-    rho_estimate: float = 0.0
-    plain_sweeps: int = 0
-    guard_sweep: int = 0
     perron_check: float = 0.0
-
-
-def _solve_single(problem, U0):
-    """One solve from U0: Newton on reduced grids, relaxed sweeps on full ones."""
-    if problem.geom.reduced:
-        return _newton_solve(problem, U0)
-    return _sweep_solve(problem, U0)
-
-
-def _sweep_solve(problem, U0):
-    """Sweep to a stop; returns a _Run.
-
-    The stop reason is ``projected`` (the projected distance to the fixed
-    point fell below ``sweep_tol``), ``plateau`` (updates stopped shrinking
-    at rounding level without meeting that test) or ``max_iters``.
-
-    Plain sweeps run until two successive window ratios agree; then rho and
-    omega follow from the ratio, and the sweeps are over-relaxed (Chebyshev
-    weights tending to omega).  A relaxed window that makes no progress
-    (see _STALE_WINDOWS) is stale.  At rounding level, stale windows stop
-    the solve on the plateau; above it (and at once on a non-finite update)
-    they trip the guard, which restores the grid of the last plain sweep
-    and lets plain sweeps finish the solve.
-    """
-    run = _Run(U0.copy())
-    U = run.U
-    interior = U[1:-1]
-    machine = _SweepN1(problem)
-    history = []
-    weights = None  # the relaxation weights; None while sweeps are plain
-    start = stale = 0  # len(history) when relaxation began; stale windows
-    best = math.inf  # lowest largest update of a relaxed window
-    checkpoint = None  # the interior when relaxation began
-    for iters in range(1, problem.max_iters + 1):
-        relaxed = weights is not None
-        delta = _sweep_jacobi(machine, U, next(weights) if relaxed else None)
-        history.append(delta)
-        run.iterations, run.final_max_update = iters, delta
-        if _projected_converged(history, _WINDOW, problem.sweep_tol):
-            run.stop_reason = "projected"
-            break
-        if relaxed:
-            if math.isfinite(delta) and (len(history) - start) % _WINDOW:
-                continue
-            peak = max(history[-_WINDOW:]) if math.isfinite(delta) else math.nan
-            rounding = peak < _PLATEAU_LEVEL
-            if peak < (_PLATEAU_CUT * best if rounding else best):
-                best, stale = peak, 0
-                continue
-            stale += 1
-            if rounding:
-                if stale < _PLATEAU_WINDOWS:
-                    continue
-                run.stop_reason = "plateau"
-                break
-            if stale < _STALE_WINDOWS and math.isfinite(peak):
-                continue
-            # the guard: relaxation stopped contracting above rounding level
-            np.copyto(interior, checkpoint)
-            del history[start:]
-            weights = None
-            run.guard_sweep = iters
-        elif (
-            delta < _PLATEAU_LEVEL
-            and len(history) > _PLAIN_LOOKBACK
-            and delta >= 0.98 * history[-_PLAIN_LOOKBACK]
-        ):
-            run.stop_reason = "plateau"
-            break
-        elif not run.guard_sweep:
-            ratio = _agreed_ratio(history, _WINDOW)
-            if ratio is None:
-                continue
-            rho, omega = _relaxation(ratio)
-            run.rho_estimate, run.omega, run.plain_sweeps = rho, omega, iters
-            weights = _chebyshev_weights(rho)
-            start = len(history)
-            checkpoint = interior.copy()
-    if weights is not None and run.stop_reason != "max_iters":
-        # the weights amplify rounding noise (its second t differences are
-        # what a near-singular residual sees); one window of plain sweeps
-        # settles it
-        for _ in range(min(_WINDOW, problem.max_iters - run.iterations)):
-            run.final_max_update = _sweep_jacobi(machine, U)
-            run.iterations += 1
-    # the Perron oracle: one plain sweep from the result
-    run.perron_check = machine.max_change(machine.updates(U[2:], interior, U[:-2]), interior)
-    return run
 
 
 # Pseudo-transient continuation: the first pseudo time step, and the shift
@@ -871,20 +720,172 @@ def _block_thomas(shift, wx, wd, F):
     return z
 
 
-def _newton_solve(problem, U0):
-    """Newton on F(U) = T(U) - U for a reduced grid; returns a _Run.
+# GMRES on full grids: the residual it stops at, relative to |F|; the basis
+# vectors it keeps before a restart; and the most iterations one step runs.
+_KRYLOV_TOL = 1e-2
+_KRYLOV_RESTART = 8
+_KRYLOV_MAX = 100
 
-    Each step solves ((1 + s) I - J) delta = T(U) - U by ``_block_thomas``.
-    The shift s = 1/dtau follows switched evolution relaxation: dtau starts
-    at _DTAU0 and is scaled by sup|F_old| / sup|F_new| each step, and s is 0
-    once it falls below _SHIFT_OFF.  The stop reason is ``projected`` (an
-    unshifted step moved the grid by less than ``sweep_tol``), ``plateau``
-    (sup|F| reached the rounding floor first) or ``max_iters``.
+
+def _hartley(n):
+    """The discrete Hartley matrix cas(2 pi j k / n) / sqrt(n), cas = cos + sin:
+    real, symmetric and orthogonal.  It diagonalizes v(x+1) + v(x-1) on a
+    periodic axis of n points, with eigenvalue 2 cos(2 pi k / n) at mode k."""
+    angle = 2.0 * math.pi * np.outer(np.arange(n), np.arange(n)) / n
+    return (np.cos(angle) + np.sin(angle)) / math.sqrt(n)
+
+
+class _Krylov:
+    """Restarted GMRES for ((1 + s) I - J) delta = F on a full interior, right
+    preconditioned by P = (1 + s) I - Jbar (module docstring).
+
+    In the real Fourier (Hartley) modes row t of mode k of P holds
+    -(1/2 - sum_h a_h(t)) at t+-1 and 1 + s - sum_h a_h(t) 2 cos(2 pi k_h / n_h)
+    on the diagonal, with a_h(t) the mean of wx_h over the row.  The Hartley
+    transform is two small matrix products, faster on 32-point axes than
+    numpy's FFT, whose module adds about 0.7 MB to the process.  The basis
+    is allocated once per solve, and the step is formed as P^-1 (V y), with
+    no preconditioned vectors stored.
     """
-    run = _Run(U0.copy(), solver=NEWTON)
+
+    def __init__(self, machine, shape):
+        self.machine = machine
+        # The basis sits in an anonymous mapping of its own, out of malloc's
+        # sight.  As a malloc block (1.7 MB on a 25 x 32 x 32 grid) its free
+        # raised glibc's dynamic mmap threshold, the solver's freed arrays
+        # stayed resident, and the process peaked about 0.25 MB higher.
+        mapping = mmap.mmap(-1, 8 * (_KRYLOV_RESTART + 1) * math.prod(shape))
+        self.vectors = np.frombuffer(mapping).reshape((_KRYLOV_RESTART + 1,) + shape)
+        self.basis = self.vectors.reshape(_KRYLOV_RESTART + 1, -1)
+        # the step, and the preconditioned vector (also the Gram-Schmidt
+        # scratch), in the machine's arrays that are idle during the solve
+        self.step, self.z = machine._work[3], machine.scratch
+        self.hx, self.hy = _hartley(shape[1]), _hartley(shape[2])
+        # 2 cos(2 pi k / n) per machine axis, shaped to broadcast over the modes
+        self.cosines = [
+            2.0 * np.cos(2.0 * math.pi * np.arange(shape[a]) / shape[a]).reshape((-1,) + (1,) * (2 - a))
+            for a, _, _, _ in machine.axes
+        ]
+        self.modes = np.empty(shape)
+        self.row = np.empty(shape[1:])
+        # the Thomas factors: the inverse pivots, and each t row's entry at t+-1
+        self.inv_pivot = np.empty(shape)
+        self.off = np.empty(shape[0])
+
+    def factor(self, shift):
+        """Factor P for the weights of the last ``linearize``."""
+        wx, off, inv_pivot, row = self.machine.wx, self.off, self.inv_pivot, self.row
+        mean = wx.reshape(wx.shape[:2] + (-1,)).mean(axis=2)  # a_h(t)
+        np.subtract(mean.sum(axis=0), 0.5, out=off)
+        inv_pivot.fill(1.0 + shift)
+        for a, cos in zip(mean, self.cosines):
+            inv_pivot -= a[:, None, None] * cos
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(inv_pivot.shape[0]):
+                if t:
+                    np.multiply(inv_pivot[t - 1], off[t] * off[t - 1], out=row)
+                    np.subtract(inv_pivot[t], row, out=inv_pivot[t])
+                np.divide(1.0, inv_pivot[t], out=inv_pivot[t])
+        # a zero, infinite or nan pivot leaves an infinite, zero or nan inverse
+        if not (np.all(np.isfinite(inv_pivot)) and np.all(inv_pivot != 0.0)):
+            raise ValidationError(
+                "singular Newton preconditioner: a zero or non-finite pivot in the "
+                "t elimination of a Fourier mode"
+            )
+
+    def _transform(self, v, out):
+        """out = the Hartley transform of every t row of v (its own inverse)."""
+        np.matmul(self.hx, v, out=self.modes)
+        ny = self.hy.shape[0]
+        np.matmul(self.modes.reshape(-1, ny), self.hy, out=out.reshape(-1, ny))
+        return out
+
+    def precondition(self, v, out):
+        """out = P^-1 v."""
+        row, off, inv_pivot = self.row, self.off, self.inv_pivot
+        self._transform(v, out)
+        np.multiply(out[0], inv_pivot[0], out=out[0])
+        for t in range(1, out.shape[0]):
+            np.multiply(out[t - 1], off[t], out=row)
+            np.subtract(out[t], row, out=out[t])
+            np.multiply(out[t], inv_pivot[t], out=out[t])
+        for t in range(out.shape[0] - 2, -1, -1):
+            np.multiply(out[t + 1], inv_pivot[t], out=row)
+            np.multiply(row, off[t], out=row)
+            np.subtract(out[t], row, out=out[t])
+        return self._transform(out, out)
+
+    def solve(self, shift, F):
+        """(delta, iterations): GMRES(_KRYLOV_RESTART) from delta = 0 until the
+        residual falls to _KRYLOV_TOL |F|, or after _KRYLOV_MAX iterations.
+        delta is a work array that the next call overwrites."""
+        self.factor(shift)
+        machine, V, vectors, x, z = self.machine, self.basis, self.vectors, self.step, self.z
+        x.fill(0.0)
+        np.copyto(vectors[0], F)
+        beta = float(np.linalg.norm(V[0]))
+        target = _KRYLOV_TOL * beta
+        iterations = 0
+        while not beta <= target and iterations < _KRYLOV_MAX:
+            V[0] *= 1.0 / beta
+            g, R, rotations = [beta], [], []  # R: the rotated Hessenberg columns
+            for j in range(_KRYLOV_RESTART):
+                w = V[j + 1]
+                machine.jacobian_product(shift, self.precondition(vectors[j], z), vectors[j + 1])
+                # classical Gram-Schmidt, twice
+                h = np.zeros(j + 1)
+                for _ in range(2):
+                    c = V[: j + 1] @ w
+                    np.subtract(w, np.matmul(c, V[: j + 1], out=z.reshape(-1)), out=w)
+                    h += c
+                h = h.tolist() + [float(np.linalg.norm(w))]
+                for i, (cs, sn) in enumerate(rotations):
+                    h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+                radius = math.hypot(h[j], h[j + 1])
+                if radius == 0.0:
+                    raise ValidationError(
+                        f"singular Newton system: GMRES broke down at iteration {iterations + 1}"
+                    )
+                cs, sn = h[j] / radius, h[j + 1] / radius
+                rotations.append((cs, sn))
+                R.append(h[:j] + [radius])
+                g[j], g[j + 1:] = cs * g[j], [-sn * g[j]]
+                iterations += 1
+                beta = abs(g[j + 1])
+                if beta <= target or h[j + 1] == 0.0 or iterations == _KRYLOV_MAX:
+                    break
+                w *= 1.0 / h[j + 1]
+            # x += P^-1 V y, with y from back substitution in R
+            y = [0.0] * len(R)
+            for i in reversed(range(len(R))):
+                y[i] = (g[i] - sum(R[l][i] * y[l] for l in range(i + 1, len(R)))) / R[i][i]
+            np.matmul(y, V[: len(R)], out=V[len(R)])
+            x += self.precondition(vectors[len(R)], z)
+            if beta <= target or iterations == _KRYLOV_MAX:
+                break
+            # restart from the true residual
+            machine.jacobian_product(shift, x, vectors[0])
+            np.subtract(F, vectors[0], out=vectors[0])
+            beta = float(np.linalg.norm(V[0]))
+        return x, iterations
+
+
+def _newton_solve(problem, U0):
+    """Newton on F(U) = T(U) - U; returns a _Run.
+
+    Each step solves ((1 + s) I - J) delta = T(U) - U: by ``_block_thomas``
+    on a reduced grid and by preconditioned GMRES (``_Krylov``) on a full
+    one.  The shift s = 1/dtau follows switched evolution relaxation: dtau
+    starts at _DTAU0 and is scaled by sup|F_old| / sup|F_new| each step, and
+    s is 0 once it falls below _SHIFT_OFF.  The stop reason is ``projected``
+    (an unshifted step moved the grid by less than ``sweep_tol``),
+    ``plateau`` (sup|F| reached the rounding floor first) or ``max_iters``.
+    """
+    run = _Run(U0.copy())
     U = run.U
     mid = U[1:-1]
     machine = _SweepN1(problem)
+    krylov = None if problem.geom.reduced else _Krylov(machine, mid.shape)
     dtau = _DTAU0
     f_prev = None
     while True:
@@ -900,7 +901,11 @@ def _newton_solve(problem, U0):
         shift = 1.0 / dtau
         if shift < _SHIFT_OFF:
             shift = 0.0
-        delta = _block_thomas(shift, wx, wd, F)
+        if krylov is None:
+            delta = _block_thomas(shift, wx[0], wd[0], F)
+        else:
+            delta, iterations = krylov.solve(shift, F)
+            run.krylov_iterations += iterations
         run.iterations += 1
         run.final_max_update = float(np.max(np.abs(delta)))
         if not math.isfinite(run.final_max_update):
@@ -918,8 +923,9 @@ def _newton_solve(problem, U0):
 def solve(problem, init="lower"):
     """Perron solution from the lower envelope; returns (grid, SolverReport).
 
-    Reduced grids are solved by Newton steps, full grids by relaxed sweeps;
-    the report's ``solver`` says which.
+    The solve is Newton's method on T(U) - U: block Thomas steps on reduced
+    grids, preconditioned GMRES steps on full ones (``krylov_iterations``
+    counts the GMRES iterations).
 
     With ``check_two_init`` a second run starts from the linear radial
     interpolation clipped to the barrier sandwich, and the report carries
@@ -942,14 +948,14 @@ def solve(problem, init="lower"):
         raise PreconditionError(f"unknown initialization {init!r}")
     U0[0], U0[-1] = problem.phi1, problem.phi2
 
-    run = _solve_single(problem, U0)
+    run = _newton_solve(problem, U0)
     U = run.U
 
     two_init = None
     if problem.check_two_init:
         W0 = np.clip(linear_interpolation(problem), barriers.lower, barriers.upper)
         W0[0], W0[-1] = problem.phi1, problem.phi2
-        two_init = float(np.max(np.abs(U - _solve_single(problem, W0).U)))
+        two_init = float(np.max(np.abs(U - _newton_solve(problem, W0).U)))
 
     stats = _residual_stats(problem, U)
     ranges, slice_ok = validate_slices(problem, U)
@@ -960,9 +966,7 @@ def solve(problem, init="lower"):
         final_max_update=run.final_max_update,
         converged=run.stop_reason != "max_iters",
         stop_reason=run.stop_reason,
-        omega=run.omega,
-        rho_estimate=run.rho_estimate,
-        plain_sweeps=run.plain_sweeps,
+        krylov_iterations=run.krylov_iterations,
         perron_check=run.perron_check,
         residual_regular_max=stats["residual_regular_max"],
         n_regular=stats["n_regular"],
@@ -975,12 +979,11 @@ def solve(problem, init="lower"):
         sandwich_ok=(low_worst >= -1e-9) and (high_worst >= -1e-9),
         two_init_discrepancy=two_init,
         mode=problem.mode,
-        solver=run.solver,
+        solver=NEWTON,
         runtime_seconds=time.perf_counter() - t0,
         details={
             "margins": list(problem.margins),
             "c": problem.branch.c,
-            "guard_sweep": run.guard_sweep,
         },
     )
     return U, report

@@ -180,6 +180,14 @@ def complex_hessian(geom, u):
 def zderiv(geom, u, j):
     """Holomorphic derivative (d/dx_j - i d/dy_j)/2 of a real field, grid axes last."""
     u = np.asarray(u, dtype=float)
+    if u.shape[-len(geom.grid) :] != geom.grid:
+        raise PreconditionError("field shape must end in the geometry grid")
+    return _zderiv(geom, u, j)
+
+
+def _zderiv(geom, u, j):
+    """``zderiv`` of a float field whose last axes are grid axes or periodic
+    patches of them."""
     h, ndim = geom.spacings, len(geom.grid)
     xa, ya = geom.x_axis(j), geom.y_axis(j)
     dx = _d1(u, xa - ndim, h[xa])

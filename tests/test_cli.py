@@ -13,7 +13,7 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-# A full 8 x 8 grid: the relaxed sweeps serve full grids, Newton reduced ones.
+# A full 8 x 8 grid, whose Newton steps are solved by GMRES.
 FULL_CFG = (
     "[geometry]\nn = 1\ngrid = 8 8\nalpha0 = 3\n\n"
     "[problem]\nphi1 = 0.15*cos(2*pi*x1) + 0.05*sin(2*pi*y1)\n"
@@ -220,18 +220,19 @@ class TestGeodesicCommand:
         assert code == 2
         assert "not admissible" in err
 
-    def test_relaxation_report_lines(self, capsys, tmp_path):
-        code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path))
+    def test_full_config_passes(self, capsys):
+        cfg = str(CONFIGS / "geodesic_full.cfg")
+        code, out, err = run(capsys, "geodesic", "--config", cfg)
         assert code == 0
-        assert grep(out, "solver") == "sweeps"
-        assert int(grep(out, "plain_sweeps")) > 0
-        assert 0.0 < float(grep(out, "rho_estimate")) < 1.0
-        assert 1.0 <= float(grep(out, "omega")) < 2.0
-        assert float(grep(out, "perron_check")) <= 1e-9
+        assert grep(out, "status") == "pass"
+        assert grep(out, "solver") == "newton"
+        assert int(grep(out, "krylov_iterations")) > 0
         assert grep(out, "check_perron") == "pass"
-        assert grep(out, "stop_reason") == "projected"
-        assert grep(out, "guard_sweep") == "0"
+        for removed in ("omega", "rho_estimate", "plain_sweeps", "guard_sweep"):
+            with pytest.raises(KeyError):
+                grep(out, removed)
         assert "note:" not in err
+        assert run(capsys, "geodesic", "--config", cfg)[1] == out
 
     def test_unconverged_run_fails_perron_check(self, capsys, tmp_path):
         cfg = tmp_path / "short.cfg"
@@ -248,34 +249,21 @@ class TestGeodesicCommand:
         )
 
     def test_plateau_stop_noted_on_stderr(self, capsys, tmp_path):
-        # no update can meet a zero tolerance, so the solve ends on the plateau
+        # no step can meet a zero tolerance, so the solve ends on the plateau:
+        # sup|T(U) - U| at rounding, which check_perron gates, and no note
         text = FULL_CFG.replace("sweep_tol = 1e-12", "sweep_tol = 0")
         code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path, text))
         assert code == 0
         assert grep(out, "stop_reason") == "plateau"
-        assert "note: the sweeps stopped at the rounding plateau" in err
-        # and Newton on the reduced sample
-        cfg = tmp_path / "tight.cfg"
-        text = (CONFIGS / "geodesic_sample.cfg").read_text()
-        cfg.write_text(text.replace("sweep_tol = 1e-12", "sweep_tol = 0"))
-        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert grep(out, "check_perron") == "pass"
+        assert "note:" not in err
+        # and Newton on the reduced sample, which ends there at its own sweep_tol
+        code, out, err = run(
+            capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg")
+        )
         assert code == 0
         assert grep(out, "stop_reason") == "plateau"
-        assert "note: the Newton steps stopped at the rounding plateau" in err
-
-    def test_guard_fallback_noted_on_stderr(self, capsys, monkeypatch, tmp_path):
-        from dhymgeo import geodesic
-
-        # rho > 1 makes the Chebyshev weights swing through large negative
-        # values, so the guard must take over
-        monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: (1.5, 2.0))
-        code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path))
-        assert code == 0
-        assert grep(out, "status") == "pass"
-        assert "note: relaxation did not contract" in err
-        sweep = int(grep(out, "guard_sweep"))
-        assert sweep > int(grep(out, "plain_sweeps"))
-        assert f"plain sweeps from sweep {sweep}" in err
+        assert "note:" not in err
 
     def test_generic_config_passes(self, capsys):
         # random phases put near-singular points on the grid, where the

@@ -629,26 +629,51 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("mode", [JACOBI])
     def test_sweeps_allocate_no_grid_arrays(self, mode):
+        # the kernel, its linearization and the Jacobian product run in
+        # preallocated arrays: a whole-grid temporary would be faulted in again
+        # on every call
         import tracemalloc
 
-        from dhymgeo.geodesic import _SweepN1, _sweep_jacobi
+        from dhymgeo.geodesic import _SweepN1
 
         pb = full_problem(n=64, nt=17, mode=mode)
-        bars = build_barriers(pb)
-        U = bars.lower.copy()
+        U = build_barriers(pb).lower.copy()
         machine = _SweepN1(pb)
-        # warm-up: a relaxed step (weight 1) records the previous iterate
-        _sweep_jacobi(machine, U)
-        _sweep_jacobi(machine, U, 1.0)
-        for omega in (None, 1.6):
-            tracemalloc.start()
-            try:
-                for _ in range(10):
-                    _sweep_jacobi(machine, U, omega)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < U[1:-1].nbytes, omega
+        v = np.random.default_rng(4).standard_normal(U[1:-1].shape)
+        out = np.empty_like(v)
+        machine.linearize(U[2:], U[1:-1], U[:-2])
+        machine.jacobian_product(0.1, v, out)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                plain_sweep(machine, U)
+                machine.linearize(U[2:], U[1:-1], U[:-2])
+                machine.jacobian_product(0.1, v, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < U[1:-1].nbytes
+
+
+def plain_sweep(machine, U):
+    """One Jacobi sweep u <- T(u) of U's interior, in place; returns the
+    largest move."""
+    mid = U[1:-1]
+    new = machine.updates(U[2:], mid, U[:-2])
+    move = machine.max_change(new, mid)
+    np.copyto(mid, new)
+    return move
+
+
+def plain_fixed_point(pb, U0, tol=1e-14, max_sweeps=100000):
+    """The reference fixed point: plain sweeps from U0 until one moves the
+    grid by at most ``tol``; returns (grid, sweeps)."""
+    U = U0.copy()
+    machine = geodesic._SweepN1(pb)
+    for sweeps in range(1, max_sweeps + 1):
+        if plain_sweep(machine, U) <= tol:
+            return U, sweeps
+    raise AssertionError(f"plain sweeps did not settle in {max_sweeps} sweeps")
 
 
 class TestSolve:
@@ -708,7 +733,7 @@ class TestSolve:
         # its kink (the t-derivative jump creates an O(1/h) spike in b), so
         # the first sweeps may dip below it there; the converged solution
         # sits back inside the sandwich
-        from dhymgeo.geodesic import _SweepN1, _sweep_jacobi
+        from dhymgeo.geodesic import _SweepN1
 
         pb = small_problem(nx=32, nt=33)
         bars = build_barriers(pb)
@@ -717,7 +742,7 @@ class TestSolve:
         machine = _SweepN1(pb)
         dips = []
         for _ in range(200):
-            _sweep_jacobi(machine, U)
+            plain_sweep(machine, U)
             dips.append(float(np.min(U - bars.lower)))
         assert min(dips) < -1e-4  # the kink dip is real
         Ufinal, rep = solve(pb)
@@ -739,7 +764,7 @@ class TestSolve:
     )
     def test_stop_reason(self, kw, reason):
         U, rep = solve(full_problem(**kw))
-        assert rep.solver == "sweeps"
+        assert rep.solver == "newton" and rep.krylov_iterations > 0
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
@@ -773,10 +798,11 @@ class TestSolve:
             GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch, mode="gauss-seidel")
 
     def test_full_grid_matches_reduced_on_y_invariant_data(self):
-        Uf, _ = solve(y_invariant_problem())
-        pb_red = small_problem(nx=16, nt=9)
-        Ur, _ = solve(pb_red)
-        assert np.max(np.abs(Uf[:, :, 3] - Ur)) < 1e-9
+        # GMRES on the full grid, block Thomas on the reduced one
+        Uf, rep_f = solve(y_invariant_problem())
+        Ur, rep_r = solve(small_problem(nx=16, nt=9))
+        assert rep_f.krylov_iterations > 0 and rep_r.krylov_iterations == 0
+        assert np.max(np.abs(Uf - Ur[:, :, None])) <= 1e-12
 
     def test_inadmissible_boundary_rejected(self):
         geom = reduced_geom()
@@ -833,74 +859,41 @@ def shift_problem(grid=(64,), nt=33):
     )
 
 
-def plain_sweeps_only(monkeypatch):
-    """Make every later solve run plain sweeps: no window ratios ever agree."""
-    monkeypatch.setattr(geodesic, "_agreed_ratio", lambda history, window: None)
-
-
 class TestRelaxation:
+    """Newton on full grids, where relaxed sweeps ran before, against the plain
+    Perron sweeps."""
+
     @pytest.mark.parametrize(
         "make", [y_invariant_problem, full_problem], ids=["y-invariant", "full"]
     )
     @pytest.mark.parametrize("mode", [JACOBI])
-    def test_matches_plain_sweeps(self, make, mode, monkeypatch):
+    def test_matches_plain_sweeps(self, make, mode):
         pb = make(mode=mode, sweep_tol=1e-13)
         U, rep = solve(pb)
-        assert rep.solver == "sweeps"
-        assert rep.plain_sweeps > 0 and rep.details["guard_sweep"] == 0
-        assert 0.0 < rep.rho_estimate < 1.0
-        assert 1.0 <= rep.omega < 2.0
-        assert rep.perron_check <= 1e-12
-        plain_sweeps_only(monkeypatch)
-        Up, rep_p = solve(pb)
-        assert rep_p.plain_sweeps == 0 and rep_p.omega == 1.0 and rep_p.rho_estimate == 0.0
+        assert rep.solver == "newton" and rep.converged
+        assert rep.krylov_iterations > 0
+        assert rep.perron_check <= 1e-14
+        Up, sweeps = plain_fixed_point(pb, lower_start(pb))
         assert np.max(np.abs(U - Up)) <= 1e-10
-        assert rep.iterations < rep_p.iterations
-
-    def test_omega_in_unit_to_two(self):
-        for ratio in (1e-6, 0.3, 0.9, 0.99, 0.999999):
-            rho, omega = geodesic._relaxation(ratio)
-            assert 0.0 < rho < 1.0
-            assert 1.0 <= omega < 2.0
-
-    @pytest.mark.parametrize(
-        "mode, bad",
-        # rho > 1 makes the Chebyshev weights swing through large negative
-        # values
-        [(JACOBI, (1.5, 2.0))],
-    )
-    def test_guard_recovers_from_bad_rho(self, mode, bad, monkeypatch):
-        pb = full_problem(mode=mode, sweep_tol=1e-13)
-        monkeypatch.setattr(geodesic, "_relaxation", lambda ratio: bad)
-        U, rep = solve(pb)
-        assert rep.details["guard_sweep"] > rep.plain_sweeps > 0
-        assert rep.converged and rep.all_finite() and rep.sandwich_ok
-        assert rep.perron_check <= 1e-12
-        plain_sweeps_only(monkeypatch)
-        Up, _ = solve(pb)
-        assert np.max(np.abs(U - Up)) <= 1e-10
+        assert rep.iterations < sweeps
 
     def test_perron_check_is_one_plain_sweep(self):
         from dhymgeo.geodesic import _SweepN1
 
-        pb = full_problem(sweep_tol=1e-8, max_iters=5)
+        pb = full_problem(sweep_tol=1e-8, max_iters=2)
         U, rep = solve(pb)
-        assert rep.solver == "sweeps"
+        assert rep.solver == "newton"
         machine = _SweepN1(pb)
         move = np.max(np.abs(machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1]))
         assert rep.perron_check == move
-        assert move > 1e-6  # five sweeps from the lower barrier are far off
+        assert move > 1e-6  # two shifted steps from the lower barrier are far off
 
-    def test_shift_family_sweeps_fall_fivefold(self, monkeypatch):
+    def test_shift_family_exact(self):
         pb = shift_problem(grid=(32, 8), nt=25)
         U, rep = solve(pb)
-        assert rep.solver == "sweeps"
+        assert rep.krylov_iterations > 0
         exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1, 1) / T_TOTAL
         assert np.max(np.abs(U - exact)) < 1e-10
-        plain_sweeps_only(monkeypatch)
-        Up, rep_p = solve(pb)
-        assert rep.iterations < rep_p.iterations / 5
-        assert np.max(np.abs(U - Up)) <= 1e-10
 
 
 def generic_problems(count):
@@ -940,26 +933,39 @@ def lower_start(pb):
 
 def dense_jacobian(wx, wd):
     """The interior Jacobian of the Perron map from the neighbour weights,
-    entry by entry."""
-    m, nx = wx.shape
-    J = np.zeros((m, nx, m, nx))
-    for k, x in itertools.product(range(m), range(nx)):
-        for dx in (1, -1):
-            J[k, x, k, (x + dx) % nx] += wx[k, x]
+    stacked over the spatial axes as ``linearize`` returns them, entry by
+    entry."""
+    axes, m = wx.shape[:2]
+    grid = wx.shape[2:]
+    J = np.zeros((m,) + grid + (m,) + grid)
+
+    def moved(x, h, d):
+        y = list(x)
+        y[h] = (y[h] + d) % grid[h]
+        return tuple(y)
+
+    for k, x in itertools.product(range(m), np.ndindex(grid)):
+        row = (k,) + x
+        for h, dx in itertools.product(range(axes), (1, -1)):
+            J[row + (k,) + moved(x, h, dx)] += wx[(h,) + row]
         for dk in (1, -1):
             if 0 <= k + dk < m:
-                J[k, x, k + dk, x] += 0.5 - wx[k, x]
-                for dx in (1, -1):
-                    J[k, x, k + dk, (x + dx) % nx] += dk * dx * wd[k, x]
-    return J.reshape(m * nx, m * nx)
+                J[row + (k + dk,) + x] += 0.5 - wx[(slice(None),) + row].sum()
+                for h, dx in itertools.product(range(axes), (1, -1)):
+                    J[row + (k + dk,) + moved(x, h, dx)] += dk * dx * wd[(h,) + row]
+    return J.reshape(m * math.prod(grid), -1)
 
 
 def newton_state(name):
-    """A reduced state for the weight checks: a seeded grid between the
-    barriers, the shift family's exact solution, or the sample's solution."""
+    """A state for the weight checks: a seeded grid between the barriers of the
+    reduced sample or of an 8 x 8 full grid, the shift family's exact
+    solution, or the sample's solution."""
     if name.startswith("seed"):
         pb = small_problem()
         return pb, random_grid(pb, int(name[4:]))[0]
+    if name == "full":
+        pb = full_problem(n=8, nt=7)
+        return pb, random_grid(pb, 3)[0]
     if name == "shift":
         pb = shift_problem(grid=(16,), nt=9)
         return pb, pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
@@ -967,21 +973,27 @@ def newton_state(name):
     return pb, solve(pb)[0]
 
 
+def linearized(pb, U):
+    """(machine, F, wx, wd) at U, copied out of the machine's work arrays."""
+    machine = geodesic._SweepN1(pb)
+    F, wx, wd = (a.copy() for a in machine.linearize(U[2:], U[1:-1], U[:-2]))
+    return machine, F, wx, wd
+
+
 class TestNewton:
-    @pytest.mark.parametrize("state", ["seed0", "seed1", "seed2", "shift", "sample"])
+    @pytest.mark.parametrize("state", ["seed0", "seed1", "seed2", "shift", "sample", "full"])
     def test_weights_match_central_differences(self, state):
         pb, U = newton_state(state)
-        machine = geodesic._SweepN1(pb)
-        F, wx, wd = machine.linearize(U[2:], U[1:-1], U[:-2])
+        machine, F, wx, wd = linearized(pb, U)
         assert np.array_equal(F, machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1])
         J = dense_jacobian(wx, wd)
-        m, nx = F.shape
         fd = np.empty_like(J)
         h = 1e-6
-        for col, (k, x) in enumerate(itertools.product(range(m), range(nx))):
+        for col, index in enumerate(np.ndindex(F.shape)):
             Up, Um = U.copy(), U.copy()
-            Up[k + 1, x] += h
-            Um[k + 1, x] -= h
+            k = (index[0] + 1,) + index[1:]
+            Up[k] += h
+            Um[k] -= h
             vp = machine.updates(Up[2:], Up[1:-1], Up[:-2]).copy()
             vm = machine.updates(Um[2:], Um[1:-1], Um[:-2])
             fd[:, col] = ((vp - vm) / (2 * h)).reshape(-1)
@@ -991,10 +1003,41 @@ class TestNewton:
     def test_block_thomas_matches_dense_solve(self, shift):
         pb = small_problem(nt=13)
         U, _ = random_grid(pb, 7)
-        F, wx, wd = geodesic._SweepN1(pb).linearize(U[2:], U[1:-1], U[:-2])
-        delta = geodesic._block_thomas(shift, wx, wd, F)
+        _, F, wx, wd = linearized(pb, U)
+        delta = geodesic._block_thomas(shift, wx[0], wd[0], F)
         M = (1.0 + shift) * np.eye(F.size) - dense_jacobian(wx, wd)
         assert np.max(np.abs(delta.reshape(-1) - np.linalg.solve(M, F.reshape(-1)))) <= 1e-12
+
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
+    def test_gmres_matches_dense_solve(self, shift, monkeypatch):
+        pb = full_problem(n=8, nt=9)
+        U, _ = random_grid(pb, 5)
+        machine, F, wx, wd = linearized(pb, U)
+        M = (1.0 + shift) * np.eye(F.size) - dense_jacobian(wx, wd)
+        exact = np.linalg.solve(M, F.reshape(-1))
+        krylov = geodesic._Krylov(machine, F.shape)
+        # the product and the preconditioner against their dense matrices
+        v = np.random.default_rng(9).standard_normal(F.shape)
+        out = np.empty_like(v)
+        machine.jacobian_product(shift, v, out)
+        assert np.max(np.abs(out.reshape(-1) - M @ v.reshape(-1))) <= 1e-12
+        krylov.factor(shift)
+        mean = wx.reshape(wx.shape[:2] + (-1,)).mean(axis=2)[:, :, None, None]
+        P = (1.0 + shift) * np.eye(F.size) - dense_jacobian(
+            np.broadcast_to(mean, wx.shape), np.zeros_like(wd)
+        )
+        precond = krylov.precondition(v, out).reshape(-1)
+        assert np.max(np.abs(precond - np.linalg.solve(P, v.reshape(-1)))) <= 1e-12
+        # at its own tolerance GMRES meets the 1e-2 residual ...
+        delta, iterations = krylov.solve(shift, F)
+        assert 0 < iterations < geodesic._KRYLOV_MAX
+        residual = F.reshape(-1) - M @ delta.reshape(-1)
+        assert np.linalg.norm(residual) <= geodesic._KRYLOV_TOL * np.linalg.norm(F)
+        # ... and at a tight one, across restarts, it is the dense solution
+        monkeypatch.setattr(geodesic, "_KRYLOV_TOL", 1e-13)
+        delta, iterations = krylov.solve(shift, F)
+        assert geodesic._KRYLOV_RESTART < iterations < geodesic._KRYLOV_MAX
+        assert np.max(np.abs(delta.reshape(-1) - exact)) <= 1e-10 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize(
         "make",
@@ -1002,14 +1045,14 @@ class TestNewton:
         ids=["sample", "generic0", "generic1", "generic2", "shift"],
     )
     def test_matches_relaxed_sweeps(self, make):
+        # the reference is the fixed point of plain sweeps
         pb = make()
         U0 = lower_start(pb)
         newton = geodesic._newton_solve(pb, U0)
-        sweeps = geodesic._sweep_solve(replace(pb, sweep_tol=1e-13), U0)
-        assert newton.solver == "newton" and sweeps.solver == "sweeps"
         assert newton.stop_reason in ("projected", "plateau")
         assert newton.perron_check <= 1e-14
-        assert np.max(np.abs(newton.U - sweeps.U)) <= 1e-10
+        Up, _ = plain_fixed_point(pb, U0)
+        assert np.max(np.abs(newton.U - Up)) <= 1e-10
         if make is shift_problem:
             exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
             assert np.max(np.abs(newton.U - exact)) <= 1e-12
@@ -1024,9 +1067,7 @@ class TestNewton:
     )
     def test_stop_reason(self, kw, reason):
         U, rep = solve(small_problem(**kw))
-        assert rep.solver == "newton"
-        assert (rep.omega, rep.rho_estimate, rep.plain_sweeps) == (1.0, 0.0, 0)
-        assert rep.details["guard_sweep"] == 0
+        assert rep.solver == "newton" and rep.krylov_iterations == 0
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
@@ -1047,6 +1088,23 @@ class TestNewton:
         monkeypatch.setattr(geodesic, "_block_thomas", lambda s, wx, wd, F: np.full_like(F, np.inf))
         with pytest.raises(ValidationError, match="Newton step 1 is not finite"):
             solve(small_problem())
+
+    def test_full_grid_failures_raise(self, monkeypatch):
+        pb = full_problem()
+        U, _ = random_grid(pb, 1)
+        machine, F, _, _ = linearized(pb, U)
+        krylov = geodesic._Krylov(machine, F.shape)
+        machine.wx[...] = 0.0  # so the pivot of the first t row is 1 + shift
+        with pytest.raises(ValidationError, match="zero or non-finite pivot"):
+            krylov.factor(-1.0)
+        machine.wx[...] = np.nan
+        with pytest.raises(ValidationError, match="zero or non-finite pivot"):
+            krylov.factor(0.0)
+        monkeypatch.setattr(
+            geodesic._Krylov, "solve", lambda self, s, F: (np.full_like(F, np.inf), 1)
+        )
+        with pytest.raises(ValidationError, match="Newton step 1 is not finite"):
+            solve(pb)
 
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):
@@ -1085,6 +1143,14 @@ class TestValidateSlices:
         U[4] += 50.0 * np.cos(2 * math.pi * pb.geom.coordinates()["x1"])
         _, ok = validate_slices(pb, U)
         assert not ok
+
+    def test_nan_slice_fails(self):
+        pb = small_problem()
+        U = build_barriers(pb).lower.copy()
+        assert validate_slices(pb, U)[1]
+        U[3, 5] = np.nan
+        ranges, ok = validate_slices(pb, U)
+        assert np.isnan(ranges[2][0]) and not ok
 
     @pytest.mark.parametrize("grid", ["reduced-n1", "full-n1", "n2"])
     def test_equals_per_slice_loop(self, grid):

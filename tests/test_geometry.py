@@ -162,6 +162,8 @@ class TestStackedOperators:
                 lambda_endo(g, bad)
             with pytest.raises(PreconditionError):
                 angle_field(g, bad)
+            with pytest.raises(PreconditionError):
+                zderiv(g, bad, 0)
 
 
 class TestLambdaEndo:
