@@ -68,19 +68,26 @@ blocks, and a step is an exact block LU (Thomas) solve, one dense inverse
 per t row.  On a full grid the blocks are nx ny x nx ny, too large to
 invert, and the step comes from restarted GMRES (Saad and Schultz, 1986),
 Jacobian-free in the sense of Knoll and Keyes (J. Comput. Phys. 193,
-2004): the matrix-vector product is formed from the weights, and the
-solve stops at a residual of 1e-2 |F|.  It is right preconditioned by
-(1 + s) I - Jbar, where Jbar keeps the per-t-row means of wx_h and drops
-wd; that matrix is diagonal in the spatial Fourier modes and tridiagonal
-in t for each, so one Thomas elimination per mode inverts it.
+2004): the matrix-vector product is formed from the weights.  The solve
+stops at a residual of eta_k |F_k|_2, with the adaptive forcing of
+Eisenstat and Walker (SIAM J. Sci. Comput. 17, 1996), their choice 2:
+eta_k = 0.9 (|F_k|_2 / |F_k-1|_2)^2 from eta_0 = 0.5, raised to
+0.9 eta_k-1^2 when that exceeds 0.1, and capped at 0.5.  Early steps are
+solved loosely and the Newton tail stays quadratic.  The forcing is kept
+at least half the rounding floor (below) over sup|F_k|, so the last step
+does not solve below what the next residual can show.  GMRES is right
+preconditioned by (1 + s) I - Jbar, where Jbar keeps the per-t-row means
+of wx_h and drops wd; that matrix is diagonal in the spatial Fourier
+modes and tridiagonal in t for each, so one Thomas elimination per mode
+inverts it.
 
 A Newton solve stops on ``projected`` when an unshifted step, which
 estimates the distance to the fixed point, moves the grid by less than
-``sweep_tol``; on ``plateau`` when sup|F| falls to 8 eps max(1, sup|U|)
-first; or on ``max_iters`` steps.  Every solve reports the largest move
-of one plain sweep from its result (the Perron check).  A singular block
-or preconditioner pivot, a GMRES breakdown or a non-finite step raises
-ValidationError.
+``sweep_tol``; on ``plateau`` when sup|F| falls to the rounding floor
+8 eps max(1, sup|U|) first; or on ``max_iters`` steps.  Every solve
+reports the largest move of one plain sweep from its result (the Perron
+check).  A singular block or preconditioner pivot, a GMRES breakdown or a
+non-finite step raises ValidationError.
 """
 
 from __future__ import annotations
@@ -387,7 +394,9 @@ def perron_update(problem, U, it, ix, lower=None, upper=None):
 
 def _pair_slices(axis):
     """(out, plus, minus) slice triples with out[i] from a[i+1] and a[i-1]
-    along ``axis``, periodic: the interior, then the two wrapped ends."""
+    along ``axis``, periodic: the interior, then the two wrapped ends.
+    ``_neighbour_pairs`` takes only the ends from here; it runs the interior
+    on flat views."""
     def at(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
@@ -396,6 +405,25 @@ def _pair_slices(axis):
         (at(None, 1), at(1, 2), at(-1, None)),
         (at(-1, None), at(None, 1), at(-2, -1)),
     )
+
+
+def _neighbour_pairs(op, a, out, axis, ends):
+    """out = op(a(x + e), a(x - e)) along ``axis``, periodic, for C-contiguous
+    ``a`` and ``out`` of one shape; ``ends`` are ``_pair_slices(axis)[1:]``.
+
+    With k the axis's stride in elements, one op on the flat views,
+    out.flat[k:-k] = op(a.flat[2k:], a.flat[:-2k]), gives every point off
+    the axis's two ends its true neighbours; at the ends it reads the next
+    or previous row, and the two small wrapped ops overwrite them.  An
+    interior slice that spans t rows goes through numpy's buffered iterator
+    and costs several times the contiguous op.  Bitwise the ``_pair_slices``
+    loop: each entry is the same op on the same two values.
+    """
+    k = math.prod(out.shape[axis + 1 :])
+    flat = a.reshape(-1)
+    op(flat[2 * k :], flat[: -2 * k], out=out.reshape(-1)[k:-k])
+    for o, plus, minus in ends:
+        op(a[plus], a[minus], out=out[o])
 
 
 class _SweepN1:
@@ -414,9 +442,9 @@ class _SweepN1:
         # the Perron quadratic in w = v - m0 is w^2 - rho w - kappa = 0 (see
         # ``updates``); rho0 is the part of rho that does not depend on u
         self.rho0 = (cosc + sinc * lam0) / (g * sinc)
-        # per spatial axis of a block of t rows: its array axis, its neighbour
-        # slices, the weight of its second difference in rho, and the weight
-        # of its squared mixed difference in -4 kappa
+        # per spatial axis of a block of t rows: its array axis, the wrapped
+        # ends of its neighbour pairs, the weight of its second difference in
+        # rho, and the weight of its squared mixed difference in -4 kappa
         self.axes = []
         for j in (geom.x_axis(0), geom.y_axis(0)):
             if j is not None:
@@ -424,7 +452,7 @@ class _SweepN1:
                 self.axes.append(
                     (
                         1 + j,
-                        _pair_slices(1 + j),
+                        _pair_slices(1 + j)[1:],
                         1.0 / (4.0 * h * h * g),
                         -1.0 / ((4.0 * ht * h) ** 2 * a * g),
                     )
@@ -436,7 +464,9 @@ class _SweepN1:
         # thirds of a sweep on a 25 x 32 x 32 grid.  From ``linearize`` to
         # the next ``updates`` the second kernel array holds the residual,
         # ``jacobian_product`` runs in the first, third and fifth, and the
-        # fourth is idle (``_Krylov`` keeps its step there).
+        # fourth is idle (``_Krylov`` keeps its step there).  Every array is
+        # C-contiguous, so ``_neighbour_pairs`` can write its interior through
+        # a flat view of the output.
         shape = (problem.nt - 2,) + geom.grid
         self.scratch = np.empty(shape)
         self._work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
@@ -461,17 +491,15 @@ class _SweepN1:
         M, R, D, F, W, positive = self._work
         np.add(up, dn, out=M)  # 2 m0
         np.subtract(up, dn, out=D)  # 2 ht u_t
-        for i, (_, pairs, lam_w, b_w) in enumerate(self.axes):
+        for i, (axis, ends, lam_w, b_w) in enumerate(self.axes):
             # rho: the second difference along the axis about m0
-            for out, plus, minus in pairs:
-                np.add(mid[plus], mid[minus], out=W[out])
+            _neighbour_pairs(np.add, mid, W, axis, ends)
             np.subtract(W, M, out=W)
             np.multiply(W, lam_w, out=W)
             np.add(R if i else self.rho0, W, out=R)
             # -4 kappa: the squared mixed difference along the axis
             T = W if i else F
-            for out, plus, minus in pairs:
-                np.subtract(D[plus], D[minus], out=T[out])
+            _neighbour_pairs(np.subtract, D, T, axis, ends)
             np.multiply(T, T, out=T)
             np.multiply(T, b_w, out=T)
             if i:
@@ -528,11 +556,10 @@ class _SweepN1:
         np.divide(0.5, r, out=half_inv_r, where=positive)
         residual = np.subtract(v, mid, out=R)
         D = np.subtract(up, dn, out=r)
-        for (_, pairs, lam_w, b_w), wx, wd in zip(self.axes, self.wx, self.wd):
+        for (axis, ends, lam_w, b_w), wx, wd in zip(self.axes, self.wx, self.wd):
             np.multiply(two_w, -lam_w, out=wx)
             np.multiply(wx, half_inv_r, out=wx)
-            for out, plus, minus in pairs:
-                np.subtract(D[plus], D[minus], out=wd[out])
+            _neighbour_pairs(np.subtract, D, wd, axis, ends)
             np.multiply(wd, b_w, out=wd)
             np.multiply(wd, half_inv_r, out=wd)
         return residual, self.wx, self.wd
@@ -554,14 +581,12 @@ class _SweepN1:
         np.copyto(Dv[0], v[1])
         np.negative(v[-2], out=Dv[-1])
         np.multiply(S, 0.5, out=out)
-        for (_, pairs, _, _), wx, wd in zip(self.axes, self.wx, self.wd):
-            for o, plus, minus in pairs:
-                np.add(v[plus], v[minus], out=T[o])
+        for (axis, ends, _, _), wx, wd in zip(self.axes, self.wx, self.wd):
+            _neighbour_pairs(np.add, v, T, axis, ends)
             np.subtract(T, S, out=T)
             np.multiply(T, wx, out=T)
             np.add(out, T, out=out)
-            for o, plus, minus in pairs:
-                np.subtract(Dv[plus], Dv[minus], out=T[o])
+            _neighbour_pairs(np.subtract, Dv, T, axis, ends)
             np.multiply(T, wd, out=T)
             np.add(out, T, out=out)
         np.multiply(v, 1.0 + shift, out=T)
@@ -665,6 +690,7 @@ class _Run:
     final_max_update: float = 0.0
     stop_reason: str = "max_iters"
     perron_check: float = 0.0
+    steps: list = field(default_factory=list)
 
 
 # Pseudo-transient continuation: the first pseudo time step, and the shift
@@ -672,7 +698,7 @@ class _Run:
 _DTAU0 = 100.0
 _SHIFT_OFF = 1e-12
 # sup|T(u) - u| at or below this multiple of eps max(1, sup|u|) is rounding.
-_NEWTON_FLOOR = 8.0 * np.finfo(float).eps
+_NEWTON_FLOOR = 8.0 * float(np.finfo(float).eps)
 
 
 def _block_thomas(shift, wx, wd, F):
@@ -720,11 +746,37 @@ def _block_thomas(shift, wx, wd, F):
     return z
 
 
-# GMRES on full grids: the residual it stops at, relative to |F|; the basis
-# vectors it keeps before a restart; and the most iterations one step runs.
-_KRYLOV_TOL = 1e-2
+# GMRES on full grids: the basis vectors it keeps before a restart, and the
+# most iterations one step runs.
 _KRYLOV_RESTART = 8
 _KRYLOV_MAX = 100
+# Eisenstat-Walker forcing, choice 2: gamma and the exponent 2 of the ratio
+# |F_k| / |F_k-1|, the first and largest forcing, and the level above which
+# their safeguard keeps the forcing from dropping faster than gamma eta^2.
+_FORCING_GAMMA = 0.9
+_FORCING_MAX = 0.5
+_FORCING_SAFEGUARD = 0.1
+
+
+def _forcing(norm, norm_prev, eta_prev, floor_ratio):
+    """The relative GMRES residual of a Newton step (Eisenstat and Walker,
+    SIAM J. Sci. Comput. 17, 1996, choice 2).
+
+    ``norm`` and ``norm_prev`` are |F|_2 of this step and the last (None on
+    the first step, which takes _FORCING_MAX), and ``eta_prev`` the last
+    forcing.  eta = gamma (norm / norm_prev)^2, raised to gamma eta_prev^2
+    when that exceeds _FORCING_SAFEGUARD, capped at _FORCING_MAX, and kept
+    at least ``floor_ratio``: solving below the rounding floor of F buys
+    nothing the next residual can show.
+    """
+    if norm_prev is None:
+        eta = _FORCING_MAX
+    else:
+        eta = _FORCING_GAMMA * (norm / norm_prev) ** 2
+        safeguard = _FORCING_GAMMA * eta_prev**2
+        if safeguard > _FORCING_SAFEGUARD:
+            eta = max(eta, safeguard)
+    return max(min(eta, _FORCING_MAX), floor_ratio)
 
 
 def _hartley(n):
@@ -768,9 +820,11 @@ class _Krylov:
         ]
         self.modes = np.empty(shape)
         self.row = np.empty(shape[1:])
-        # the Thomas factors: the inverse pivots, and each t row's entry at t+-1
+        # the Thomas factors: the inverse pivots, each t row's entry at t+-1,
+        # and the multipliers inv_pivot * off of both sweeps
         self.inv_pivot = np.empty(shape)
         self.off = np.empty(shape[0])
+        self.multipliers = np.empty(shape)
 
     def factor(self, shift):
         """Factor P for the weights of the last ``linearize``."""
@@ -792,6 +846,7 @@ class _Krylov:
                 "singular Newton preconditioner: a zero or non-finite pivot in the "
                 "t elimination of a Fourier mode"
             )
+        np.multiply(inv_pivot, off[:, None, None], out=self.multipliers)
 
     def _transform(self, v, out):
         """out = the Hartley transform of every t row of v (its own inverse)."""
@@ -801,30 +856,35 @@ class _Krylov:
         return out
 
     def precondition(self, v, out):
-        """out = P^-1 v."""
-        row, off, inv_pivot = self.row, self.off, self.inv_pivot
+        """out = P^-1 v.
+
+        With C = inv_pivot * off, the forward sweep y_t = inv_pivot_t v_t -
+        C_t y_t-1 and the backward sweep x_t = y_t - C_t x_t+1 share the
+        multipliers, so inv_pivot scales the whole array once and each t row
+        of either sweep is two ops.
+        """
+        row, C = self.row, self.multipliers
         self._transform(v, out)
-        np.multiply(out[0], inv_pivot[0], out=out[0])
+        np.multiply(out, self.inv_pivot, out=out)
         for t in range(1, out.shape[0]):
-            np.multiply(out[t - 1], off[t], out=row)
+            np.multiply(C[t], out[t - 1], out=row)
             np.subtract(out[t], row, out=out[t])
-            np.multiply(out[t], inv_pivot[t], out=out[t])
         for t in range(out.shape[0] - 2, -1, -1):
-            np.multiply(out[t + 1], inv_pivot[t], out=row)
-            np.multiply(row, off[t], out=row)
+            np.multiply(C[t], out[t + 1], out=row)
             np.subtract(out[t], row, out=out[t])
         return self._transform(out, out)
 
-    def solve(self, shift, F):
-        """(delta, iterations): GMRES(_KRYLOV_RESTART) from delta = 0 until the
-        residual falls to _KRYLOV_TOL |F|, or after _KRYLOV_MAX iterations.
+    def solve(self, shift, F, forcing):
+        """(delta, iterations, reached): GMRES(_KRYLOV_RESTART) from delta = 0
+        until the residual falls to ``forcing`` |F|_2, or after _KRYLOV_MAX
+        iterations; ``reached`` says whether the residual met that goal.
         delta is a work array that the next call overwrites."""
         self.factor(shift)
         machine, V, vectors, x, z = self.machine, self.basis, self.vectors, self.step, self.z
         x.fill(0.0)
         np.copyto(vectors[0], F)
         beta = float(np.linalg.norm(V[0]))
-        target = _KRYLOV_TOL * beta
+        target = forcing * beta
         iterations = 0
         while not beta <= target and iterations < _KRYLOV_MAX:
             V[0] *= 1.0 / beta
@@ -867,7 +927,7 @@ class _Krylov:
             machine.jacobian_product(shift, x, vectors[0])
             np.subtract(F, vectors[0], out=vectors[0])
             beta = float(np.linalg.norm(V[0]))
-        return x, iterations
+        return x, iterations, beta <= target
 
 
 def _newton_solve(problem, U0):
@@ -880,6 +940,12 @@ def _newton_solve(problem, U0):
     s is 0 once it falls below _SHIFT_OFF.  The stop reason is ``projected``
     (an unshifted step moved the grid by less than ``sweep_tol``),
     ``plateau`` (sup|F| reached the rounding floor first) or ``max_iters``.
+
+    GMRES stops at the Eisenstat-Walker forcing (``_forcing``), floored at
+    half the rounding floor over sup|F|, so the last step does not solve
+    far below what the plateau test can see.  ``run.steps`` records each
+    step's sup|F| and shift and, on a full grid, its GMRES iterations, its
+    forcing and whether GMRES stopped at _KRYLOV_MAX short of that goal.
     """
     run = _Run(U0.copy())
     U = run.U
@@ -887,11 +953,12 @@ def _newton_solve(problem, U0):
     machine = _SweepN1(problem)
     krylov = None if problem.geom.reduced else _Krylov(machine, mid.shape)
     dtau = _DTAU0
-    f_prev = None
+    f_prev = norm_prev = eta = None
     while True:
         F, wx, wd = machine.linearize(U[2:], mid, U[:-2])
         f = float(np.max(np.abs(F)))
-        if f <= _NEWTON_FLOOR * max(1.0, float(np.max(np.abs(U)))):
+        floor = _NEWTON_FLOOR * max(1.0, float(np.max(np.abs(U))))
+        if f <= floor:
             run.stop_reason = "plateau"
             break
         if run.iterations == problem.max_iters:
@@ -901,11 +968,17 @@ def _newton_solve(problem, U0):
         shift = 1.0 / dtau
         if shift < _SHIFT_OFF:
             shift = 0.0
+        step = {"sup_residual": f, "shift": shift}
         if krylov is None:
             delta = _block_thomas(shift, wx[0], wd[0], F)
         else:
-            delta, iterations = krylov.solve(shift, F)
+            norm = float(np.linalg.norm(F))
+            eta = _forcing(norm, norm_prev, eta, 0.5 * floor / f)
+            delta, iterations, reached = krylov.solve(shift, F, eta)
             run.krylov_iterations += iterations
+            norm_prev = norm
+            step.update(krylov_iterations=iterations, forcing=eta, krylov_capped=not reached)
+        run.steps.append(step)
         run.iterations += 1
         run.final_max_update = float(np.max(np.abs(delta)))
         if not math.isfinite(run.final_max_update):
@@ -925,7 +998,11 @@ def solve(problem, init="lower"):
 
     The solve is Newton's method on T(U) - U: block Thomas steps on reduced
     grids, preconditioned GMRES steps on full ones (``krylov_iterations``
-    counts the GMRES iterations).
+    counts the GMRES iterations).  ``details["newton_steps"]`` holds one
+    dict per Newton step of this run: ``sup_residual`` (sup|F|) and
+    ``shift``, and on full grids ``krylov_iterations``, ``forcing`` (the
+    relative GMRES residual asked for) and ``krylov_capped`` (GMRES stopped
+    at its iteration limit short of it).
 
     With ``check_two_init`` a second run starts from the linear radial
     interpolation clipped to the barrier sandwich, and the report carries
@@ -984,6 +1061,7 @@ def solve(problem, init="lower"):
         details={
             "margins": list(problem.margins),
             "c": problem.branch.c,
+            "newton_steps": run.steps,
         },
     )
     return U, report

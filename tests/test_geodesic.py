@@ -627,6 +627,21 @@ class TestSweepKernel:
             err = max(err, abs(new[(it - 1,) + ix] - _decimal_update(pb, U, it, ix)))
         assert err <= 1e-15
 
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((7, 16), 1), ((5, 8, 12), 1), ((5, 8, 12), 2), ((4, 3, 5), 1), ((4, 5, 3), 2)],
+        ids=["reduced", "full-x", "full-y", "length3-x", "length3-y"],
+    )
+    @pytest.mark.parametrize("op", [np.add, np.subtract], ids=["add", "subtract"])
+    def test_neighbour_pairs_match_the_slice_loop(self, shape, axis, op):
+        a = np.random.default_rng(21).standard_normal(shape)
+        expected = np.empty(shape)
+        for out, plus, minus in geodesic._pair_slices(axis):
+            op(a[plus], a[minus], out=expected[out])
+        out = np.full(shape, np.nan)
+        geodesic._neighbour_pairs(op, a, out, axis, geodesic._pair_slices(axis)[1:])
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("mode", [JACOBI])
     def test_sweeps_allocate_no_grid_arrays(self, mode):
         # the kernel, its linearization and the Jacobian product run in
@@ -748,18 +763,24 @@ class TestSolve:
         Ufinal, rep = solve(pb)
         assert rep.sandwich_low_worst >= -1e-9
 
-    def test_stops_on_projected_below_the_old_rounding_floor(self):
+    def test_reaches_the_rounding_floor_below_the_old_kernel_noise(self):
         # a kernel that cancels in its discriminant leaves updates at about
-        # 5e-14 here, so this solve used to end on the plateau
-        U, rep = solve(full_problem(n=32, nt=17, mode=JACOBI, sweep_tol=1e-12))
-        assert rep.stop_reason == "projected"
+        # 5e-14 here, so sup|T(U) - U| could not fall to the rounding floor
+        # (about 2e-15); with a quadratic Newton tail the solve gets there
+        # before an unshifted step moves the grid by less than 1e-12
+        U, rep = solve(full_problem(n=32, nt=17, mode=JACOBI, sweep_tol=1e-12, max_iters=50))
+        assert rep.stop_reason == "plateau"
 
     @pytest.mark.parametrize(
         "kw, reason",
         [
-            (dict(sweep_tol=1e-8), "projected"),
+            # sup|F| goes from 8.0e-10 to the rounding floor in one step, at
+            # a shift of 9.3e-11: no unshifted step is ever taken
+            (dict(sweep_tol=1e-8), "plateau"),
             (dict(sweep_tol=0.0), "plateau"),
             (dict(sweep_tol=1e-8, max_iters=5), "max_iters"),
+            # the unshifted step from sup|F| = 2.7e-13 moves the grid 5.4e-12
+            (dict(n=32, nt=17, sweep_tol=1e-10), "projected"),
         ],
     )
     def test_stop_reason(self, kw, reason):
@@ -1009,7 +1030,7 @@ class TestNewton:
         assert np.max(np.abs(delta.reshape(-1) - np.linalg.solve(M, F.reshape(-1)))) <= 1e-12
 
     @pytest.mark.parametrize("shift", [0.0, 0.01])
-    def test_gmres_matches_dense_solve(self, shift, monkeypatch):
+    def test_gmres_matches_dense_solve(self, shift):
         pb = full_problem(n=8, nt=9)
         U, _ = random_grid(pb, 5)
         machine, F, wx, wd = linearized(pb, U)
@@ -1028,15 +1049,14 @@ class TestNewton:
         )
         precond = krylov.precondition(v, out).reshape(-1)
         assert np.max(np.abs(precond - np.linalg.solve(P, v.reshape(-1)))) <= 1e-12
-        # at its own tolerance GMRES meets the 1e-2 residual ...
-        delta, iterations = krylov.solve(shift, F)
-        assert 0 < iterations < geodesic._KRYLOV_MAX
+        # at a forcing of 1e-2 GMRES meets that residual ...
+        delta, iterations, reached = krylov.solve(shift, F, 1e-2)
+        assert reached and 0 < iterations < geodesic._KRYLOV_MAX
         residual = F.reshape(-1) - M @ delta.reshape(-1)
-        assert np.linalg.norm(residual) <= geodesic._KRYLOV_TOL * np.linalg.norm(F)
+        assert np.linalg.norm(residual) <= 1e-2 * np.linalg.norm(F)
         # ... and at a tight one, across restarts, it is the dense solution
-        monkeypatch.setattr(geodesic, "_KRYLOV_TOL", 1e-13)
-        delta, iterations = krylov.solve(shift, F)
-        assert geodesic._KRYLOV_RESTART < iterations < geodesic._KRYLOV_MAX
+        delta, iterations, reached = krylov.solve(shift, F, 1e-13)
+        assert reached and geodesic._KRYLOV_RESTART < iterations < geodesic._KRYLOV_MAX
         assert np.max(np.abs(delta.reshape(-1) - exact)) <= 1e-10 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize(
@@ -1101,10 +1121,68 @@ class TestNewton:
         with pytest.raises(ValidationError, match="zero or non-finite pivot"):
             krylov.factor(0.0)
         monkeypatch.setattr(
-            geodesic._Krylov, "solve", lambda self, s, F: (np.full_like(F, np.inf), 1)
+            geodesic._Krylov,
+            "solve",
+            lambda self, s, F, forcing: (np.full_like(F, np.inf), 1, True),
         )
         with pytest.raises(ValidationError, match="Newton step 1 is not finite"):
             solve(pb)
+
+    def test_forcing_choice_2(self):
+        assert geodesic._forcing(1.0, None, None, 0.0) == geodesic._FORCING_MAX
+        # 0.9 eta_prev^2 = 0.081 is below the safeguard level
+        assert geodesic._forcing(1e-3, 1e-1, 0.3, 0.0) == pytest.approx(0.9e-4, rel=1e-15)
+
+    def test_forcing_safeguard(self):
+        # 0.9 eta_prev^2 = 0.144 > 0.1 keeps the forcing from dropping to 9e-5
+        assert geodesic._forcing(1e-3, 1e-1, 0.4, 0.0) == pytest.approx(0.144, rel=1e-15)
+
+    def test_forcing_cap(self):
+        assert geodesic._forcing(2.0, 1.0, 0.5, 0.0) == geodesic._FORCING_MAX
+        assert geodesic._forcing(2.0, 1.0, 0.5, 0.4) == geodesic._FORCING_MAX
+
+    def test_forcing_rounding_floor(self):
+        assert geodesic._forcing(1e-12, 1e-6, 1e-3, 1e-4) == 1e-4
+        assert geodesic._forcing(1e-12, 1e-6, 1e-3, 1e-20) == pytest.approx(0.9e-12, rel=1e-15)
+
+    def test_last_gmres_solve_stops_at_the_rounding_floor(self, monkeypatch):
+        # choice 2 alone asks the last step for a relative residual near
+        # (|F_k| / |F_k-1|)^2, far below what the plateau test can see
+        norms = []
+        krylov_solve = geodesic._Krylov.solve
+
+        def recording(self, shift, F, forcing):
+            norms.append(float(np.linalg.norm(F)))
+            return krylov_solve(self, shift, F, forcing)
+
+        monkeypatch.setattr(geodesic._Krylov, "solve", recording)
+        U, rep = solve(full_problem(n=32, nt=17, sweep_tol=1e-12))
+        assert rep.stop_reason == "plateau"
+        last = rep.details["newton_steps"][-1]
+        floor = geodesic._NEWTON_FLOOR * max(1.0, float(np.max(np.abs(U))))
+        assert last["forcing"] == pytest.approx(0.5 * floor / last["sup_residual"], rel=1e-9)
+        assert geodesic._FORCING_GAMMA * (norms[-1] / norms[-2]) ** 2 < 1e-3 * last["forcing"]
+        assert not last["krylov_capped"]
+
+    def test_newton_trace_on_the_report(self, monkeypatch):
+        U, rep = solve(full_problem(n=16, nt=9))
+        steps = rep.details["newton_steps"]
+        assert len(steps) == rep.iterations
+        assert sum(s["krylov_iterations"] for s in steps) == rep.krylov_iterations
+        assert steps[0]["shift"] == 1.0 / geodesic._DTAU0
+        assert steps[0]["forcing"] == geodesic._FORCING_MAX
+        assert not any(s["krylov_capped"] for s in steps)
+        # a GMRES solve stopped at its iteration limit is recorded
+        monkeypatch.setattr(geodesic, "_KRYLOV_MAX", 2)
+        _, rep = solve(full_problem(n=16, nt=9, max_iters=10))
+        steps = rep.details["newton_steps"]
+        assert any(s["krylov_capped"] for s in steps)
+        assert all(s["krylov_iterations"] == 2 for s in steps if s["krylov_capped"])
+        # reduced grids record sup|F| and the shift
+        _, rep = solve(small_problem())
+        steps = rep.details["newton_steps"]
+        assert len(steps) == rep.iterations
+        assert all(set(s) == {"sup_residual", "shift"} for s in steps)
 
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):
