@@ -207,6 +207,7 @@ def cmd_geodesic(args):
     rep.add("iterations", report.iterations)
     rep.add("krylov_iterations", report.krylov_iterations)
     rep.add("final_max_update", report.final_max_update)
+    rep.add("floor", report.floor)
     rep.add("converged", report.converged)
     rep.add("stop_reason", report.stop_reason)
     rep.add("perron_check", report.perron_check)

@@ -19,7 +19,7 @@ Layout::
     sweep_tol = 1e-12
     bisect_tol = 1e-10
     max_iters = 100000
-    two_init = true
+    two_init = true         ; second run from the lower envelope, report agreement
     residual_tol = 1e-5
 
 Potential values starting with ``@`` are grid files (header line with the
@@ -60,7 +60,11 @@ def _field(geom, value, base_dir):
 
 
 def load_geometry(path):
-    cp = _read(path)
+    return _geometry(_read(path), path)
+
+
+def _geometry(cp, path):
+    """The geometry of the parsed config ``cp`` read from ``path``."""
     if not cp.has_section("geometry"):
         raise PreconditionError("config is missing a [geometry] section")
     sec = cp["geometry"]
@@ -87,7 +91,7 @@ def load_dhym_potential(path, geom):
 
 def load_problem(path):
     cp = _read(path)
-    geom = load_geometry(path)
+    geom = _geometry(cp, path)
     if not cp.has_section("problem"):
         raise PreconditionError("config is missing a [problem] section")
     base = Path(path).parent

@@ -52,15 +52,19 @@ derivative has neighbour weights per point and spatial axis h
     +-wd_h, wd_h = b_w_h Delta_h / (2r)  at the diagonal neighbours,
 
 where Delta_h = D(x+e_h) - D(x-e_h) is the mixed difference of
-D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  Plain Newton from the
-lower barrier meets singular Jacobians: the barrier's sheets have u_t
-constant in x, so kappa = 0, and a t row with rho < 0 and kappa = 0 has
-the periodic spatial Laplacian, null on constants, as its block.
-Pseudo-transient continuation (Kelley and Keyes, SIAM J. Numer. Anal. 35,
-1998) shifts the step, ((1 + s) I - J) delta = F with s = 1/dtau, and
-switched evolution relaxation sets dtau: 100 at first, then
-dtau <- dtau sup|F_old| / sup|F_new|, with s = 0 once it falls below
-1e-12, so the last steps are Newton steps.
+D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  A solve starts from
+the linear radial interpolation of the boundary data clipped to the
+barrier sandwich, already near the fixed point.  Plain Newton from the
+lower barrier, two-init's second start, meets singular Jacobians: the
+barrier's sheets have u_t constant in x, so kappa = 0, and a t row with
+rho < 0 and kappa = 0 has the periodic spatial Laplacian, null on
+constants, as its block.  Pseudo-transient continuation (Kelley and Keyes,
+SIAM J. Numer. Anal. 35, 1998) shifts the step, ((1 + s) I - J) delta = F
+with s = 1/dtau, and switched evolution relaxation sets dtau in
+proportion to 1/sup|F|: s = sup|F| / max(1, sup|U|) at every step, with
+s = 0 once it falls below 1e-12, so the last steps are Newton steps.  From
+the lower barrier (sup|F| 1e-2 and more) the first steps are damped; from
+the interpolation (sup|F| near 1e-4) they are nearly Newton steps.
 
 The linear solve depends on the grid.  On a reduced grid (one x axis) the
 Jacobian is block tridiagonal in t with periodic-tridiagonal nx x nx
@@ -84,10 +88,10 @@ inverts it.
 A Newton solve stops on ``projected`` when an unshifted step, which
 estimates the distance to the fixed point, moves the grid by less than
 ``sweep_tol``; on ``plateau`` when sup|F| falls to the rounding floor
-8 eps max(1, sup|U|) first; or on ``max_iters`` steps.  Every solve
-reports the largest move of one plain sweep from its result (the Perron
-check).  A singular block or preconditioner pivot, a GMRES breakdown or a
-non-finite step raises ValidationError.
+8 eps max(1, sup|U|) (the report's ``floor``) first; or on ``max_iters``
+steps.  Every solve reports the largest move of one plain sweep from its
+result (the Perron check).  A singular block or preconditioner pivot, a
+GMRES breakdown or a non-finite step raises ValidationError.
 """
 
 from __future__ import annotations
@@ -601,8 +605,23 @@ class _SweepN1:
 
 @dataclass
 class SolverReport:
+    """What ``solve`` found and how.
+
+    ``final_max_update`` is sup|delta| of the last Newton step, 0.0 if the
+    start already met the plateau test.  Its meaning depends on
+    ``stop_reason``: on ``projected`` that step was unshifted and moved the
+    grid by less than ``sweep_tol``, an estimate of the distance to the
+    fixed point; on ``plateau`` it is the step that took sup|T(U) - U| to
+    ``floor``, often still shifted and then larger than the distance left
+    (``perron_check`` measures that); on ``max_iters`` it is the last step
+    of an unconverged run.  ``floor`` is the rounding level
+    8 eps max(1, sup|U|) that the last plateau test compared sup|T(U) - U|
+    against.
+    """
+
     iterations: int
     final_max_update: float
+    floor: float
     converged: bool
     stop_reason: str
     krylov_iterations: int
@@ -688,14 +707,14 @@ class _Run:
     iterations: int = 0
     krylov_iterations: int = 0
     final_max_update: float = 0.0
+    floor: float = 0.0
     stop_reason: str = "max_iters"
     perron_check: float = 0.0
     steps: list = field(default_factory=list)
 
 
-# Pseudo-transient continuation: the first pseudo time step, and the shift
-# 1/dtau below which a step is a plain Newton step.
-_DTAU0 = 100.0
+# Pseudo-transient continuation: the shift 1/dtau below which a step is a
+# plain Newton step.
 _SHIFT_OFF = 1e-12
 # sup|T(u) - u| at or below this multiple of eps max(1, sup|u|) is rounding.
 _NEWTON_FLOOR = 8.0 * float(np.finfo(float).eps)
@@ -935,11 +954,13 @@ def _newton_solve(problem, U0):
 
     Each step solves ((1 + s) I - J) delta = T(U) - U: by ``_block_thomas``
     on a reduced grid and by preconditioned GMRES (``_Krylov``) on a full
-    one.  The shift s = 1/dtau follows switched evolution relaxation: dtau
-    starts at _DTAU0 and is scaled by sup|F_old| / sup|F_new| each step, and
-    s is 0 once it falls below _SHIFT_OFF.  The stop reason is ``projected``
-    (an unshifted step moved the grid by less than ``sweep_tol``),
-    ``plateau`` (sup|F| reached the rounding floor first) or ``max_iters``.
+    one.  The shift is s = sup|F| / max(1, sup|U|) at the step's grid:
+    switched evolution relaxation, dtau scaled by sup|F_old| / sup|F_new|,
+    from dtau_0 = max(1, sup|U_0|) / sup|F_0|, with no state kept between
+    steps.  s is 0 once it falls below _SHIFT_OFF.  The stop reason is
+    ``projected`` (an unshifted step moved the grid by less than
+    ``sweep_tol``), ``plateau`` (sup|F| reached the rounding floor first,
+    ``run.floor``) or ``max_iters``.
 
     GMRES stops at the Eisenstat-Walker forcing (``_forcing``), floored at
     half the rounding floor over sup|F|, so the last step does not solve
@@ -952,20 +973,18 @@ def _newton_solve(problem, U0):
     mid = U[1:-1]
     machine = _SweepN1(problem)
     krylov = None if problem.geom.reduced else _Krylov(machine, mid.shape)
-    dtau = _DTAU0
-    f_prev = norm_prev = eta = None
+    norm_prev = eta = None
     while True:
         F, wx, wd = machine.linearize(U[2:], mid, U[:-2])
         f = float(np.max(np.abs(F)))
-        floor = _NEWTON_FLOOR * max(1.0, float(np.max(np.abs(U))))
+        scale = max(1.0, float(np.max(np.abs(U))))
+        floor = run.floor = _NEWTON_FLOOR * scale
         if f <= floor:
             run.stop_reason = "plateau"
             break
         if run.iterations == problem.max_iters:
             break
-        if f_prev is not None:
-            dtau *= f_prev / f
-        shift = 1.0 / dtau
+        shift = f / scale
         if shift < _SHIFT_OFF:
             shift = 0.0
         step = {"sup_residual": f, "shift": shift}
@@ -987,34 +1006,15 @@ def _newton_solve(problem, U0):
         if shift == 0.0 and run.final_max_update < problem.sweep_tol:
             run.stop_reason = "projected"
             break
-        f_prev = f
     # the Perron oracle: one plain sweep from the result
     run.perron_check = machine.max_change(machine.updates(U[2:], mid, U[:-2]), mid)
     return run
 
 
-def solve(problem, init="lower"):
-    """Perron solution from the lower envelope; returns (grid, SolverReport).
-
-    The solve is Newton's method on T(U) - U: block Thomas steps on reduced
-    grids, preconditioned GMRES steps on full ones (``krylov_iterations``
-    counts the GMRES iterations).  ``details["newton_steps"]`` holds one
-    dict per Newton step of this run: ``sup_residual`` (sup|F|) and
-    ``shift``, and on full grids ``krylov_iterations``, ``forcing`` (the
-    relative GMRES residual asked for) and ``krylov_capped`` (GMRES stopped
-    at its iteration limit short of it).
-
-    With ``check_two_init`` a second run starts from the linear radial
-    interpolation clipped to the barrier sandwich, and the report carries
-    the sup-norm disagreement of the two results.
-    """
-    t0 = time.perf_counter()
-    if problem.geom.n != 1:
-        raise PreconditionError(
-            "sweep solving is implemented for n = 1 grids; higher dimensions "
-            "are served by the pointwise perron_update API"
-        )
-    barriers = build_barriers(problem)
+def _start(problem, barriers, init):
+    """The first grid of a run: ``init`` is "linear" (the linear radial
+    interpolation clipped to the barrier sandwich), "lower" (the lower
+    envelope) or a grid, with the boundary rows set to phi1 and phi2."""
     if isinstance(init, np.ndarray):
         U0 = _check_grid(problem, init).copy()
     elif init == "lower":
@@ -1024,15 +1024,41 @@ def solve(problem, init="lower"):
     else:
         raise PreconditionError(f"unknown initialization {init!r}")
     U0[0], U0[-1] = problem.phi1, problem.phi2
+    return U0
 
-    run = _newton_solve(problem, U0)
+
+def solve(problem, init="linear"):
+    """Perron solution from the clipped linear interpolation; returns (grid,
+    SolverReport).
+
+    The solve is Newton's method on T(U) - U: block Thomas steps on reduced
+    grids, preconditioned GMRES steps on full ones (``krylov_iterations``
+    counts the GMRES iterations).  ``details["newton_steps"]`` holds one
+    dict per Newton step of this run: ``sup_residual`` (sup|F|) and
+    ``shift``, and on full grids ``krylov_iterations``, ``forcing`` (the
+    relative GMRES residual asked for) and ``krylov_capped`` (GMRES stopped
+    at its iteration limit short of it).
+
+    ``init`` is "linear", "lower" or a grid (``_start``).  With
+    ``check_two_init`` a second run starts from the lower envelope (from the
+    linear interpolation when ``init`` is "lower"), and the report carries
+    the sup-norm disagreement of the two results.
+    """
+    t0 = time.perf_counter()
+    if problem.geom.n != 1:
+        raise PreconditionError(
+            "sweep solving is implemented for n = 1 grids; higher dimensions "
+            "are served by the pointwise perron_update API"
+        )
+    barriers = build_barriers(problem)
+    run = _newton_solve(problem, _start(problem, barriers, init))
     U = run.U
 
     two_init = None
     if problem.check_two_init:
-        W0 = np.clip(linear_interpolation(problem), barriers.lower, barriers.upper)
-        W0[0], W0[-1] = problem.phi1, problem.phi2
-        two_init = float(np.max(np.abs(U - _newton_solve(problem, W0).U)))
+        second = "linear" if isinstance(init, str) and init == "lower" else "lower"
+        other = _newton_solve(problem, _start(problem, barriers, second)).U
+        two_init = float(np.max(np.abs(U - other)))
 
     stats = _residual_stats(problem, U)
     ranges, slice_ok = validate_slices(problem, U)
@@ -1041,6 +1067,7 @@ def solve(problem, init="lower"):
     report = SolverReport(
         iterations=run.iterations,
         final_max_update=run.final_max_update,
+        floor=run.floor,
         converged=run.stop_reason != "max_iters",
         stop_reason=run.stop_reason,
         krylov_iterations=run.krylov_iterations,

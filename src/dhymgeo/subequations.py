@@ -206,13 +206,17 @@ class FuzzReport:
 
 
 def sample_hermitian(rng, dim, count, scales=_SCALES):
-    """(count, dim, dim) Hermitian draws with a scale-mixture spread."""
-    s = np.asarray(scales)[rng.integers(0, len(scales), size=count)]
-    G = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-        (count, dim, dim)
-    )
-    H = 0.5 * (G + np.conj(np.swapaxes(G, -2, -1)))
-    return H * s[:, None, None]
+    """(count, dim, dim) Hermitian draws with a scale-mixture spread:
+    s (G + G^H) / 2 with G = X + iY standard normal, X drawn before Y.  The
+    real and imaginary parts are written in place, with no complex
+    temporaries; halving is exact, so this is bitwise the complex form."""
+    half_s = 0.5 * np.asarray(scales)[rng.integers(0, len(scales), size=count)][:, None, None]
+    H = np.empty((count, dim, dim), dtype=complex)
+    for part, op in ((H.real, np.add), (H.imag, np.subtract)):
+        G = rng.standard_normal((count, dim, dim))
+        op(G, np.swapaxes(G, -2, -1), out=part)
+        np.multiply(part, half_s, out=part)
+    return H
 
 
 def sample_psd(rng, dim, count, scales=(0.1, 1.0)):
@@ -257,7 +261,9 @@ def _convexity_candidates(rng, c, m, count):
     shift = math.tan(c / m)
     u = rng.uniform(0.6, 1.8, size=count)
     centered = flavor >= 2
-    A[centered] += (shift * u[centered])[:, None, None] * np.eye(m)
+    # the recentring shift on the real diagonal (a writable view)
+    diagonal = np.einsum("kii->ki", A.real)
+    np.add(diagonal, (shift * u)[:, None], out=diagonal, where=centered[:, None])
     near_s = flavor == 4
     if np.any(near_s):
         damp = np.asarray((1e-3, 1e-1))[rng.integers(0, 2, size=int(np.sum(near_s)))]

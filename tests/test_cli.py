@@ -234,17 +234,42 @@ class TestGeodesicCommand:
         assert "note:" not in err
         assert run(capsys, "geodesic", "--config", cfg)[1] == out
 
+    def test_floor_is_the_plateau_level(self, capsys, tmp_path):
+        # floor= is 8 eps max(1, sup|U|) of the result the plateau test stopped at
+        out_dir = tmp_path / "full"
+        cfg = str(CONFIGS / "geodesic_full.cfg")
+        code, out, _ = run(capsys, "geodesic", "--config", cfg, "--out", str(out_dir))
+        assert code == 0 and grep(out, "stop_reason") == "plateau"
+        sol = read_grid(out_dir / "solution.grid")
+        floor = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(sol))))
+        assert grep(out, "floor") == format(floor, ".12g")
+        assert float(grep(out, "perron_check")) <= float(grep(out, "floor"))
+
+    def test_config_is_read_once(self, capsys, monkeypatch):
+        from dhymgeo import config
+
+        reads = []
+        read = config._read
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(config, "_read", counting)
+        code, _, _ = run(capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg"))
+        assert code == 0 and len(reads) == 1
+
     def test_unconverged_run_fails_perron_check(self, capsys, tmp_path):
         cfg = tmp_path / "short.cfg"
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
-        cfg.write_text(text.replace("max_iters = 20000", "max_iters = 5"))
+        cfg.write_text(text.replace("max_iters = 20000", "max_iters = 2"))
         code, out, err = run(capsys, "geodesic", "--config", str(cfg))
         assert code == 1
         assert grep(out, "stop_reason") == "max_iters"
         assert float(grep(out, "perron_check")) > 1e-9
         assert grep(out, "check_perron") == "fail"
         assert (
-            "note: the Newton steps hit max_iters=5 before the projected distance "
+            "note: the Newton steps hit max_iters=2 before the projected distance "
             "met sweep_tol" in err
         )
 

@@ -774,13 +774,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "kw, reason",
         [
-            # sup|F| goes from 8.0e-10 to the rounding floor in one step, at
-            # a shift of 9.3e-11: no unshifted step is ever taken
+            # sup|F| goes from 3.2e-12 to the rounding floor in one step, at
+            # a shift of 3.2e-12: no unshifted step is ever taken
             (dict(sweep_tol=1e-8), "plateau"),
             (dict(sweep_tol=0.0), "plateau"),
-            (dict(sweep_tol=1e-8, max_iters=5), "max_iters"),
-            # the unshifted step from sup|F| = 2.7e-13 moves the grid 5.4e-12
-            (dict(n=32, nt=17, sweep_tol=1e-10), "projected"),
+            (dict(sweep_tol=1e-8, max_iters=3), "max_iters"),
+            # the unshifted step from sup|F| = 2.4e-13 moves the grid 3.0e-12
+            (dict(n=16, nt=17, sweep_tol=1e-10), "projected"),
         ],
     )
     def test_stop_reason(self, kw, reason):
@@ -789,7 +789,7 @@ class TestSolve:
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
-            assert rep.iterations == 5
+            assert rep.iterations == kw["max_iters"]
 
     def test_constructor_guards(self):
         geom = reduced_geom()
@@ -907,13 +907,18 @@ class TestRelaxation:
         machine = _SweepN1(pb)
         move = np.max(np.abs(machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1]))
         assert rep.perron_check == move
-        assert move > 1e-6  # two shifted steps from the lower barrier are far off
+        assert move > 1e-6  # two shifted steps from the linear start are still far off
 
     def test_shift_family_exact(self):
         pb = shift_problem(grid=(32, 8), nt=25)
-        U, rep = solve(pb)
-        assert rep.krylov_iterations > 0
         exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1, 1) / T_TOTAL
+        # from the lower envelope GMRES has the whole way to go ...
+        U, rep = solve(pb, init="lower")
+        assert rep.krylov_iterations > 0
+        assert np.max(np.abs(U - exact)) < 1e-10
+        # ... and the linear start is the exact solution already
+        U, rep = solve(pb)
+        assert rep.iterations == rep.krylov_iterations == 0
         assert np.max(np.abs(U - exact)) < 1e-10
 
 
@@ -1080,9 +1085,10 @@ class TestNewton:
     @pytest.mark.parametrize(
         "kw, reason",
         [
-            (dict(sweep_tol=1e-8), "projected"),
+            # the unshifted step from sup|F| = 2.6e-13 moves the grid 2.4e-12
+            (dict(nx=8, sweep_tol=1e-8), "projected"),
             (dict(sweep_tol=0.0), "plateau"),
-            (dict(sweep_tol=1e-8, max_iters=3), "max_iters"),
+            (dict(sweep_tol=1e-8, max_iters=1), "max_iters"),
         ],
     )
     def test_stop_reason(self, kw, reason):
@@ -1091,7 +1097,7 @@ class TestNewton:
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
-            assert rep.iterations == 3
+            assert rep.iterations == 1
             assert rep.perron_check > 1e-6
         else:
             assert rep.perron_check <= 1e-14
@@ -1165,11 +1171,13 @@ class TestNewton:
         assert not last["krylov_capped"]
 
     def test_newton_trace_on_the_report(self, monkeypatch):
-        U, rep = solve(full_problem(n=16, nt=9))
+        pb = full_problem(n=16, nt=9)
+        U, rep = solve(pb)
         steps = rep.details["newton_steps"]
         assert len(steps) == rep.iterations
         assert sum(s["krylov_iterations"] for s in steps) == rep.krylov_iterations
-        assert steps[0]["shift"] == 1.0 / geodesic._DTAU0
+        start = geodesic._start(pb, build_barriers(pb), "linear")
+        assert steps[0]["shift"] == steps[0]["sup_residual"] / max(1.0, np.max(np.abs(start)))
         assert steps[0]["forcing"] == geodesic._FORCING_MAX
         assert not any(s["krylov_capped"] for s in steps)
         # a GMRES solve stopped at its iteration limit is recorded
@@ -1183,6 +1191,57 @@ class TestNewton:
         steps = rep.details["newton_steps"]
         assert len(steps) == rep.iterations
         assert all(set(s) == {"sup_residual", "shift"} for s in steps)
+
+    def test_starts_linear_then_lower(self, monkeypatch):
+        # the first run starts from the clipped linear interpolation and
+        # two-init's second from the lower envelope; from "lower" the second
+        # run is the linear one, so two-init always compares two starts
+        starts = []
+        newton_solve = geodesic._newton_solve
+
+        def recording(problem, U0):
+            starts.append(U0.copy())
+            return newton_solve(problem, U0)
+
+        monkeypatch.setattr(geodesic, "_newton_solve", recording)
+        pb = small_problem(check_two_init=True)
+        bars = build_barriers(pb)
+        linear = np.clip(linear_interpolation(pb), bars.lower, bars.upper)
+        linear[0], linear[-1] = pb.phi1, pb.phi2
+        lower = lower_start(pb)
+        solve(pb)
+        assert len(starts) == 2
+        assert np.array_equal(starts[0], linear) and np.array_equal(starts[1], lower)
+        starts.clear()
+        solve(pb, init="lower")
+        assert np.array_equal(starts[0], lower) and np.array_equal(starts[1], linear)
+
+    @pytest.mark.parametrize("init", ["linear", "lower"])
+    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    def test_shift_is_the_scaled_residual(self, monkeypatch, make, init):
+        # s = sup|F| / max(1, sup|U|) at each step's grid, 0 below _SHIFT_OFF
+        scales = []
+        linearize = geodesic._SweepN1.linearize
+
+        def recording(self, up, mid, dn):
+            scales.append(max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(dn)))))
+            return linearize(self, up, mid, dn)
+
+        monkeypatch.setattr(geodesic._SweepN1, "linearize", recording)
+        _, rep = solve(make(sweep_tol=1e-12), init=init)
+        steps = rep.details["newton_steps"]
+        assert len(steps) == rep.iterations and len(scales) >= rep.iterations
+        for step, scale in zip(steps, scales):
+            expected = step["sup_residual"] / scale
+            assert step["shift"] == (expected if expected >= geodesic._SHIFT_OFF else 0.0)
+
+    def test_linear_start_takes_no_more_steps(self):
+        pb = full_problem(n=16, nt=9, sweep_tol=1e-12)
+        U, rep = solve(pb)
+        Ul, rep_l = solve(pb, init="lower")
+        assert rep.iterations <= rep_l.iterations
+        assert np.max(np.abs(U - Ul)) <= 1e-12
+        assert max(rep.perron_check, rep_l.perron_check) <= 1e-14
 
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):

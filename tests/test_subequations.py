@@ -347,3 +347,30 @@ class TestSampling:
         A = sample_hermitian(rng, 3, 10)
         assert A.shape == (10, 3, 3)
         assert np.allclose(A, np.conj(np.swapaxes(A, -2, -1)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_samples_match_the_complex_form_bitwise(self, m, seed):
+        # s (G + G^H) / 2 with G = X + iY, X drawn first, and the recentring
+        # shift added to every entry through the identity
+        def reference_hermitian(rng, count):
+            scales = np.asarray(subequations._SCALES)
+            s = scales[rng.integers(0, len(scales), size=count)]
+            G = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+            return 0.5 * (G + np.conj(np.swapaxes(G, -2, -1))) * s[:, None, None]
+
+        count = 500
+        got = sample_hermitian(np.random.default_rng(seed), m, count)
+        assert got.tobytes() == reference_hermitian(np.random.default_rng(seed), count).tobytes()
+
+        c = 0.35 * math.pi
+        rng = np.random.default_rng(seed)
+        A = reference_hermitian(rng, count)
+        flavor = rng.integers(0, 5, size=count)
+        u = rng.uniform(0.6, 1.8, size=count)
+        centered = flavor >= 2
+        A[centered] += (math.tan(c / m) * u[centered])[:, None, None] * np.eye(m)
+        got = subequations._convexity_candidates(np.random.default_rng(seed), c, m, count)
+        # the near-singular flavour after the shift is shared code
+        rows = flavor != 4
+        assert got[rows].tobytes() == A[rows].tobytes()
