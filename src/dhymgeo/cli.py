@@ -197,8 +197,6 @@ def cmd_geodesic(args):
     problem, residual_tol = load_problem(args.config)
     U, report = solve(problem)
     rep = Report()
-    rep.add("mode", report.mode)
-    rep.add("solver", report.solver)
     rep.add("nt", problem.nt)
     rep.add("grid", " ".join(str(g) for g in problem.geom.grid))
     rep.add("c", problem.branch.c)

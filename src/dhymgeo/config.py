@@ -15,17 +15,17 @@ Layout::
 
     [solver]
     nt = 33
-    mode = jacobi           ; the only sweep (Jacobi); may be left out
-    sweep_tol = 1e-12
+    sweep_tol = 1e-12       ; Newton stops when an unshifted step moves less
     bisect_tol = 1e-10
-    max_iters = 100000
+    max_iters = 100000      ; Newton steps
     two_init = true         ; second run from the lower envelope, report agreement
     residual_tol = 1e-5
 
 Potential values starting with ``@`` are grid files (header line with the
 axis sizes, then little-endian float64), resolved relative to the config
-file.  A config that names the removed ``gauss-seidel`` mode is refused
-(PreconditionError, exit 2) rather than run with another solver.
+file.  A key these sections do not define (a misspelling, or the removed
+``mode``), a repeated key, and a boolean other than 1/yes/true/on or
+0/no/false/off are refused with PreconditionError (exit 2).
 """
 
 from __future__ import annotations
@@ -41,10 +41,25 @@ from .linalg import parse_matrix_literal
 
 def _read(path):
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
-    found = cp.read(path)
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise PreconditionError(f"bad config: {exc}") from None
     if not found:
         raise PreconditionError(f"config file {path} not found")
     return cp
+
+
+def _section(cp, name, keys):
+    """Section ``name`` of ``cp`` ({} if absent), refused if it holds a key
+    outside ``keys``."""
+    if not cp.has_section(name):
+        return {}
+    sec = cp[name]
+    for key in sec:
+        if key not in keys:
+            raise PreconditionError(f"unknown key {key!r} in [{name}]")
+    return sec
 
 
 def _field(geom, value, base_dir):
@@ -67,7 +82,7 @@ def _geometry(cp, path):
     """The geometry of the parsed config ``cp`` read from ``path``."""
     if not cp.has_section("geometry"):
         raise PreconditionError("config is missing a [geometry] section")
-    sec = cp["geometry"]
+    sec = _section(cp, "geometry", ("n", "grid", "reduced", "alpha0", "psi_alpha"))
     try:
         n = sec.getint("n", 1)
         reduced = sec.getboolean("reduced", False)
@@ -95,7 +110,7 @@ def load_problem(path):
     if not cp.has_section("problem"):
         raise PreconditionError("config is missing a [problem] section")
     base = Path(path).parent
-    sec = cp["problem"]
+    sec = _section(cp, "problem", ("phi1", "phi2"))
     for key in ("phi1", "phi2"):
         if not sec.get(key, "").strip():
             raise PreconditionError(f"[problem] must define {key}")
@@ -103,18 +118,19 @@ def load_problem(path):
     phi2 = _field(geom, sec["phi2"], base)
     branch = select_branch(geom, require_regime=True)
 
-    sol = cp["solver"] if cp.has_section("solver") else {}
+    sol = _section(
+        cp, "solver", ("nt", "sweep_tol", "bisect_tol", "max_iters", "two_init", "residual_tol")
+    )
 
     def get(key, cast, default):
-        raw = sol.get(key, "") if hasattr(sol, "get") else ""
-        raw = (raw or "").strip()
+        raw = (sol.get(key) or "").strip()
         if not raw:
             return default
         try:
             if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
+                return cp.BOOLEAN_STATES[raw.lower()]
             return cast(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise PreconditionError(f"bad [solver] value for {key}: {raw!r}") from None
 
     problem = GeodesicProblem(
@@ -126,7 +142,6 @@ def load_problem(path):
         sweep_tol=get("sweep_tol", float, 1e-8),
         bisect_tol=get("bisect_tol", float, 1e-10),
         max_iters=get("max_iters", int, 100000),
-        mode=get("mode", str, "jacobi"),
         check_two_init=get("two_init", bool, True),
     )
     residual_tol = get("residual_tol", float, 1e-5)

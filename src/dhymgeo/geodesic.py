@@ -31,7 +31,7 @@ Its discriminant rho^2 + 4 kappa is a sum of squares, so rounding cannot
 make it negative and nothing is clamped, and the root is taken in the
 form that does not cancel.  (The same quadratic in v has coefficients
 near 1e4 on a 32-point grid; its discriminant cancels two terms near 1e9
-and loses about 1e-14 in v, a floor on which the sweeps would stall.)
+and loses about 1e-14 in v, a floor on which the solve would stall.)
 One vectorized kernel evaluates it on the whole interior at once: the
 Perron map T, one Jacobi sweep.  The generic path (any n),
 ``perron_update``, brackets v* between the barriers and takes it from the
@@ -42,7 +42,7 @@ the root -+ bisect_tol/2 certify it; bisection takes over from the
 narrowed bracket only where they do not (on or near the singular set).
 
 Every grid is solved by Newton's method on F(U) = T(U) - U, whose zero
-is the fixed point of the sweeps (the Perron solution).  T is smooth off
+is the fixed point of T (the Perron solution).  T is smooth off
 rho = kappa = 0, and with r the square root of the discriminant its
 derivative has neighbour weights per point and spatial axis h
 (``_SweepN1.linearize``):
@@ -119,8 +119,6 @@ from .subequations import Branch
 T_TOTAL = math.log(2.0)
 
 JACOBI = "jacobi"
-# The solver of every run (the report's ``solver`` line).
-NEWTON = "newton"
 
 # Padding beyond the barrier sandwich for the bracket of the pointwise update.
 _BRACKET_PAD = 1.0
@@ -148,10 +146,11 @@ class GeodesicProblem:
     ``phi1`` sits at t = 0 (|s| = 1) and ``phi2`` at t = log 2 (|s| = 2).
     Both must be admissible with positive margin and the branch must lie
     in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
-    the width of the certified bracket of a pointwise update.  ``mode``
-    names the sweep, the Perron map T; Jacobi is the only one.  Grids are
-    solved by Newton steps on T(U) - U, which ``sweep_tol`` and
-    ``max_iters`` bound.
+    the width of the certified bracket of a pointwise update.  Grids are
+    solved by Newton steps on T(U) - U, with T the Jacobi Perron map, which
+    ``sweep_tol`` (the name predates Newton) and ``max_iters`` bound; both
+    tolerances must be finite and positive.  ``mode`` accepts only "jacobi"
+    and is kept because the benchmark workloads pass it.
     """
 
     geom: object
@@ -164,7 +163,6 @@ class GeodesicProblem:
     max_iters: int = 100000
     mode: str = JACOBI
     check_two_init: bool = True
-    eps_report: float = EPS_REPORT
 
     def __post_init__(self):
         self.phi1 = np.asarray(self.phi1, dtype=float)
@@ -173,13 +171,13 @@ class GeodesicProblem:
             raise PreconditionError("boundary potentials must live on the geometry grid")
         if self.nt < 5:
             raise PreconditionError("need at least 5 radial grid points")
-        if self.mode == "gauss-seidel":
-            raise PreconditionError(
-                "sweep mode 'gauss-seidel' was removed; the sweep is Jacobi "
-                "(mode = jacobi)"
-            )
         if self.mode != JACOBI:
-            raise PreconditionError(f"unknown sweep mode {self.mode!r}")
+            raise PreconditionError(f"mode {self.mode!r} is not supported; the Perron map is Jacobi")
+        for name, value in (("sweep_tol", self.sweep_tol), ("bisect_tol", self.bisect_tol)):
+            if not 0.0 < value < math.inf:
+                raise PreconditionError(f"{name} must be finite and positive, got {value!r}")
+        if self.max_iters < 0:
+            raise PreconditionError(f"max_iters must not be negative, got {self.max_iters!r}")
         if self.branch.n != self.geom.n:
             raise PreconditionError("branch dimension does not match the geometry")
         try:
@@ -230,7 +228,6 @@ class Barriers:
     u2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    constants: dict
 
 
 def build_barriers(problem):
@@ -258,15 +255,7 @@ def build_barriers(problem):
     upper = -np.maximum(v1, v2)
     lower[0], lower[-1] = phi1, phi2
     upper[0], upper[-1] = phi1, phi2
-    return Barriers(
-        lower=lower,
-        upper=upper,
-        u1=u1,
-        u2=u2,
-        v1=v1,
-        v2=v2,
-        constants={"C": C, "A": A, "B": B, "C_dual": Cd, "A_dual": Ad, "B_dual": Bd},
-    )
+    return Barriers(lower=lower, upper=upper, u1=u1, u2=u2, v1=v1, v2=v2)
 
 
 def linear_interpolation(problem):
@@ -431,12 +420,13 @@ def _neighbour_pairs(op, a, out, axis, ends):
 
 
 class _SweepN1:
-    """Vectorized interior sweep machinery for n = 1 (full or reduced grid)."""
+    """The Jacobi Perron map T on the interior, its linearization and Jacobian
+    product for Newton, for n = 1 (full or reduced grid)."""
 
     def __init__(self, problem):
         geom = problem.geom
         if geom.n != 1:
-            raise ValueError("fast sweep path requires n = 1")
+            raise ValueError("the vectorized Perron map requires n = 1")
         cosc = math.cos(problem.branch.c)
         sinc = math.sin(problem.branch.c)
         ht = problem.ht
@@ -636,8 +626,6 @@ class SolverReport:
     sandwich_high_worst: float
     sandwich_ok: bool
     two_init_discrepancy: float | None
-    mode: str
-    solver: str
     runtime_seconds: float
     details: dict = field(default_factory=dict)
 
@@ -670,7 +658,7 @@ def _residual_stats(problem, U):
     """Split interior points by singular tag and measure harmonicity."""
     c = problem.branch.c
     H, _ = interior_jets(problem, U)
-    vals, singular = phi_lifted_usc_batch(H, eps=problem.eps_report)
+    vals, singular = phi_lifted_usc_batch(H, eps=EPS_REPORT)
     usc_gap_min = math.inf
     res_max = 0.0
     if np.any(singular):
@@ -1047,7 +1035,7 @@ def solve(problem, init="linear"):
     t0 = time.perf_counter()
     if problem.geom.n != 1:
         raise PreconditionError(
-            "sweep solving is implemented for n = 1 grids; higher dimensions "
+            "Newton solving is implemented for n = 1 grids; higher dimensions "
             "are served by the pointwise perron_update API"
         )
     barriers = build_barriers(problem)
@@ -1082,8 +1070,6 @@ def solve(problem, init="linear"):
         sandwich_high_worst=high_worst,
         sandwich_ok=(low_worst >= -1e-9) and (high_worst >= -1e-9),
         two_init_discrepancy=two_init,
-        mode=problem.mode,
-        solver=NEWTON,
         runtime_seconds=time.perf_counter() - t0,
         details={
             "margins": list(problem.margins),

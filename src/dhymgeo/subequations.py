@@ -158,8 +158,11 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
     returned t has member(A - t*Id) verified, and member(A - t'*Id) fails
     for some t' at most ``bisect_tol`` above it; positivity of the set
     under psd additions turns that into a Frobenius-ball certificate of
-    the same radius.
+    the same radius.  ``bisect_tol`` must be finite and positive: no
+    bisection can narrow a bracket of two adjacent floats to zero.
     """
+    if not 0.0 < bisect_tol < math.inf:
+        raise ValueError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
     A = check_hermitian(A, name="A")
     threshold = spec.threshold
     eye = np.eye(A.shape[0])

@@ -200,7 +200,6 @@ def _shift_problem(nt, nx):
         nt=nt,
         sweep_tol=1e-13,
         max_iters=60000,
-        mode="jacobi",
         check_two_init=False,
     )
 
@@ -210,10 +209,12 @@ def test_criterion_8_geodesic_exactness():
         errs = []
         for nt, nx in ((33, 64), (65, 128)):
             pb = _shift_problem(nt, nx)
-            U, rep = dg.solve(pb)
+            # the linear start is this family's exact solution; from the
+            # lower envelope Newton has to find it
+            U, rep = dg.solve(pb, init="lower")
             exact = pb.phi1 + 0.2 * pb.t_grid.reshape(-1, 1) / T_TOTAL
             errs.append(float(np.max(np.abs(U - exact))))
-            assert rep.converged
+            assert rep.converged and rep.iterations > 0
     # both grids reproduce the closed form at the solver-tolerance floor;
     # the refinement order is asserted whenever the error is above it
     floor = 1e-8
@@ -246,7 +247,6 @@ def generic_problem_solution():
         nt=33,
         sweep_tol=1e-14,
         max_iters=40000,
-        mode="jacobi",
         check_two_init=True,
     )
     t0 = time.perf_counter()

@@ -136,6 +136,15 @@ class TestDhymCommand:
         assert code == 0
         assert float(grep(out, "hat_theta")) == 0.0
 
+    def test_unknown_geometry_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        text = (CONFIGS / "dhym_sample.cfg").read_text()
+        cfg.write_text(text.replace("alpha0 = 3", "alpha_0 = 3"))
+        code, out, err = run(capsys, "dhym", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'alpha_0' in [geometry]" in err
+
     def test_writes_fields(self, capsys, tmp_path):
         out_dir = tmp_path / "fields"
         code, _, _ = run(
@@ -225,10 +234,10 @@ class TestGeodesicCommand:
         code, out, err = run(capsys, "geodesic", "--config", cfg)
         assert code == 0
         assert grep(out, "status") == "pass"
-        assert grep(out, "solver") == "newton"
         assert int(grep(out, "krylov_iterations")) > 0
         assert grep(out, "check_perron") == "pass"
-        for removed in ("omega", "rho_estimate", "plain_sweeps", "guard_sweep"):
+        removed_lines = ("mode", "solver", "omega", "rho_estimate", "plain_sweeps", "guard_sweep")
+        for removed in removed_lines:
             with pytest.raises(KeyError):
                 grep(out, removed)
         assert "note:" not in err
@@ -274,9 +283,9 @@ class TestGeodesicCommand:
         )
 
     def test_plateau_stop_noted_on_stderr(self, capsys, tmp_path):
-        # no step can meet a zero tolerance, so the solve ends on the plateau:
-        # sup|T(U) - U| at rounding, which check_perron gates, and no note
-        text = FULL_CFG.replace("sweep_tol = 1e-12", "sweep_tol = 0")
+        # no step moves the grid by less than 1e-300, so the solve ends on the
+        # plateau: sup|T(U) - U| at rounding, which check_perron gates, and no note
+        text = FULL_CFG.replace("sweep_tol = 1e-12", "sweep_tol = 1e-300")
         code, out, err = run(capsys, "geodesic", "--config", full_config(tmp_path, text))
         assert code == 0
         assert grep(out, "stop_reason") == "plateau"
@@ -297,7 +306,7 @@ class TestGeodesicCommand:
             capsys, "geodesic", "--config", str(CONFIGS / "geodesic_generic.cfg")
         )
         assert code == 0
-        assert grep(out, "solver") == "newton"
+        assert int(grep(out, "iterations")) > 0
         assert grep(out, "check_residual") == "pass"
         assert grep(out, "status") == "pass"
 
@@ -315,17 +324,21 @@ class TestGeodesicCommand:
 
     @pytest.mark.parametrize("mode", ["jacobi"])
     def test_mode_flag_and_determinism(self, capsys, tmp_path, mode):
-        # the sample config leaves the mode at its default; naming it
-        # changes nothing
+        # the report is the same from run to run and has no mode line; a
+        # config that still names the removed mode key, even with the one
+        # value it used to accept, is refused
         cfg = tmp_path / "named.cfg"
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
         cfg.write_text(text.replace("[solver]\n", f"[solver]\nmode = {mode}\n"))
         _, out1, _ = run(capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg"))
         _, out2, _ = run(capsys, "geodesic", "--config", str(CONFIGS / "geodesic_sample.cfg"))
-        code, out3, _ = run(capsys, "geodesic", "--config", str(cfg))
-        assert code == 0
-        assert out1 == out2 == out3
-        assert grep(out1, "mode") == mode
+        assert out1 == out2
+        with pytest.raises(KeyError):
+            grep(out1, "mode")
+        code, out3, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out3 == ""
+        assert "unknown key 'mode' in [solver]" in err
 
     def test_gauss_seidel_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "gs.cfg"
@@ -334,4 +347,73 @@ class TestGeodesicCommand:
         code, out, err = run(capsys, "geodesic", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert "'gauss-seidel' was removed" in err
+        assert "unknown key 'mode' in [solver]" in err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("solver", "sweep_tl = 1e-14"),
+            ("problem", "phi3 = 0.1"),
+            ("geometry", "alpha = 3"),
+        ],
+        ids=["solver", "problem", "geometry"],
+    )
+    def test_unknown_key_exit_2(self, capsys, tmp_path, section, line):
+        # a misspelt key used to run silently at the default
+        cfg = tmp_path / "typo.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        key = line.split(" =")[0]
+        assert f"unknown key {key!r} in [{section}]" in err
+
+    def test_bad_boolean_exit_2(self, capsys, tmp_path):
+        # any word but configparser's booleans used to read as false
+        cfg = tmp_path / "bool.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("[solver]\n", "[solver]\ntwo_init = ture\n"))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "bad [solver] value for two_init: 'ture'" in err
+
+    def test_two_init_off(self, capsys, tmp_path):
+        cfg = tmp_path / "off.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("[solver]\n", "[solver]\ntwo_init = off\n"))
+        code, out, _ = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 0
+        assert grep(out, "status") == "pass"
+        with pytest.raises(KeyError):
+            grep(out, "two_init_discrepancy")
+        with pytest.raises(KeyError):
+            grep(out, "check_two_init")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["bisect_tol = 0", "sweep_tol = nan", "sweep_tol = inf", "max_iters = -1"],
+        ids=lambda line: line.replace(" = ", "="),
+    )
+    def test_bad_solver_bound_exit_2(self, capsys, tmp_path, line):
+        # a zero bisect_tol would never return, and a negative max_iters
+        # would never stop
+        key = line.split(" =")[0]
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        kept = [ln for ln in text.splitlines() if not ln.startswith(key + " =")]
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text("\n".join(kept).replace("[solver]", f"[solver]\n{line}") + "\n")
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{key} must" in err
+
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        text = (CONFIGS / "geodesic_sample.cfg").read_text()
+        cfg.write_text(text.replace("[solver]\n", "[solver]\nnt = 17\n"))
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "error: bad config:" in err and "'nt'" in err

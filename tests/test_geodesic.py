@@ -12,7 +12,6 @@ import pytest
 from dhymgeo import geodesic
 from dhymgeo.errors import PreconditionError, ValidationError
 from dhymgeo.geodesic import (
-    JACOBI,
     GeodesicProblem,
     SpaceTimeJet,
     T_TOTAL,
@@ -39,7 +38,7 @@ def reduced_geom(nx=16, a0=3.0):
     return TorusGeometry(n=1, grid=(nx,), alpha0=[[a0]], reduced=True)
 
 
-def small_problem(nx=16, nt=9, mode=JACOBI, **kw):
+def small_problem(nx=16, nt=9, **kw):
     geom = reduced_geom(nx)
     x = geom.coordinates()["x1"]
     phi1 = 0.2 * np.cos(2 * math.pi * x)
@@ -48,7 +47,7 @@ def small_problem(nx=16, nt=9, mode=JACOBI, **kw):
     kw.setdefault("check_two_init", False)
     c = math.atan(3.0)
     return GeodesicProblem(
-        geom=geom, phi1=phi1, phi2=phi2, branch=Branch(c=c, n=1), nt=nt, mode=mode, **kw
+        geom=geom, phi1=phi1, phi2=phi2, branch=Branch(c=c, n=1), nt=nt, **kw
     )
 
 
@@ -642,8 +641,7 @@ class TestSweepKernel:
         geodesic._neighbour_pairs(op, a, out, axis, geodesic._pair_slices(axis)[1:])
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("mode", [JACOBI])
-    def test_sweeps_allocate_no_grid_arrays(self, mode):
+    def test_sweeps_allocate_no_grid_arrays(self):
         # the kernel, its linearization and the Jacobian product run in
         # preallocated arrays: a whole-grid temporary would be faulted in again
         # on every call
@@ -651,7 +649,7 @@ class TestSweepKernel:
 
         from dhymgeo.geodesic import _SweepN1
 
-        pb = full_problem(n=64, nt=17, mode=mode)
+        pb = full_problem(n=64, nt=17)
         U = build_barriers(pb).lower.copy()
         machine = _SweepN1(pb)
         v = np.random.default_rng(4).standard_normal(U[1:-1].shape)
@@ -702,7 +700,6 @@ class TestSolve:
             branch=Branch(c=math.atan(3.0), n=1),
             nt=9,
             sweep_tol=1e-13,
-            mode=JACOBI,
             check_two_init=False,
         )
         U, rep = solve(pb)
@@ -719,7 +716,6 @@ class TestSolve:
             branch=Branch(c=math.atan(3.0), n=1),
             nt=17,
             sweep_tol=1e-13,
-            mode=JACOBI,
             check_two_init=True,
         )
         U, rep = solve(pb)
@@ -768,7 +764,7 @@ class TestSolve:
         # 5e-14 here, so sup|T(U) - U| could not fall to the rounding floor
         # (about 2e-15); with a quadratic Newton tail the solve gets there
         # before an unshifted step moves the grid by less than 1e-12
-        U, rep = solve(full_problem(n=32, nt=17, mode=JACOBI, sweep_tol=1e-12, max_iters=50))
+        U, rep = solve(full_problem(n=32, nt=17, sweep_tol=1e-12, max_iters=50))
         assert rep.stop_reason == "plateau"
 
     @pytest.mark.parametrize(
@@ -777,7 +773,8 @@ class TestSolve:
             # sup|F| goes from 3.2e-12 to the rounding floor in one step, at
             # a shift of 3.2e-12: no unshifted step is ever taken
             (dict(sweep_tol=1e-8), "plateau"),
-            (dict(sweep_tol=0.0), "plateau"),
+            # no step moves the grid by less than 1e-300
+            (dict(sweep_tol=1e-300), "plateau"),
             (dict(sweep_tol=1e-8, max_iters=3), "max_iters"),
             # the unshifted step from sup|F| = 2.4e-13 moves the grid 3.0e-12
             (dict(n=16, nt=17, sweep_tol=1e-10), "projected"),
@@ -785,7 +782,8 @@ class TestSolve:
     )
     def test_stop_reason(self, kw, reason):
         U, rep = solve(full_problem(**kw))
-        assert rep.solver == "newton" and rep.krylov_iterations > 0
+        assert len(rep.details["newton_steps"]) == rep.iterations
+        assert rep.krylov_iterations > 0
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
@@ -814,9 +812,35 @@ class TestSolve:
         geom = reduced_geom()
         zero = geom.zeros()
         branch = Branch(c=math.atan(3.0), n=1)
-        assert GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch).mode == JACOBI
-        with pytest.raises(PreconditionError, match="'gauss-seidel' was removed"):
-            GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch, mode="gauss-seidel")
+        assert GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch).mode == "jacobi"
+        for mode in ("gauss-seidel", "sor"):
+            with pytest.raises(PreconditionError, match=f"mode '{mode}' is not supported"):
+                GeodesicProblem(geom=geom, phi1=zero, phi2=zero, branch=branch, mode=mode)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(bisect_tol=0.0),
+            dict(bisect_tol=-1e-10),
+            dict(bisect_tol=math.nan),
+            dict(bisect_tol=math.inf),
+            dict(sweep_tol=0.0),
+            dict(sweep_tol=math.nan),
+            dict(sweep_tol=math.inf),
+            dict(max_iters=-1),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_refuses_unusable_bounds(self, kw):
+        # a bisection cannot narrow two adjacent floats below a zero
+        # bisect_tol, and the Newton step count never reaches a negative
+        # max_iters: the problem is refused before any of it runs
+        pb = small_problem(nx=8, nt=5)
+        U = build_barriers(pb).lower
+        with mock.patch.object(geodesic, "_ray_boundary", side_effect=AssertionError) as ray:
+            with pytest.raises(PreconditionError, match=next(iter(kw))):
+                perron_update(replace(pb, **kw), U, 2, (3,))
+        assert ray.call_count == 0
 
     def test_full_grid_matches_reduced_on_y_invariant_data(self):
         # GMRES on the full grid, block Thomas on the reduced one
@@ -875,7 +899,6 @@ def shift_problem(grid=(64,), nt=33):
         nt=nt,
         sweep_tol=1e-13,
         max_iters=60000,
-        mode=JACOBI,
         check_two_init=False,
     )
 
@@ -887,11 +910,10 @@ class TestRelaxation:
     @pytest.mark.parametrize(
         "make", [y_invariant_problem, full_problem], ids=["y-invariant", "full"]
     )
-    @pytest.mark.parametrize("mode", [JACOBI])
-    def test_matches_plain_sweeps(self, make, mode):
-        pb = make(mode=mode, sweep_tol=1e-13)
+    def test_matches_plain_sweeps(self, make):
+        pb = make(sweep_tol=1e-13)
         U, rep = solve(pb)
-        assert rep.solver == "newton" and rep.converged
+        assert rep.converged
         assert rep.krylov_iterations > 0
         assert rep.perron_check <= 1e-14
         Up, sweeps = plain_fixed_point(pb, lower_start(pb))
@@ -903,7 +925,7 @@ class TestRelaxation:
 
         pb = full_problem(sweep_tol=1e-8, max_iters=2)
         U, rep = solve(pb)
-        assert rep.solver == "newton"
+        assert rep.iterations == 2
         machine = _SweepN1(pb)
         move = np.max(np.abs(machine.updates(U[2:], U[1:-1], U[:-2]) - U[1:-1]))
         assert rep.perron_check == move
@@ -1087,13 +1109,15 @@ class TestNewton:
         [
             # the unshifted step from sup|F| = 2.6e-13 moves the grid 2.4e-12
             (dict(nx=8, sweep_tol=1e-8), "projected"),
-            (dict(sweep_tol=0.0), "plateau"),
+            # no step moves the grid by less than 1e-300
+            (dict(sweep_tol=1e-300), "plateau"),
             (dict(sweep_tol=1e-8, max_iters=1), "max_iters"),
         ],
     )
     def test_stop_reason(self, kw, reason):
         U, rep = solve(small_problem(**kw))
-        assert rep.solver == "newton" and rep.krylov_iterations == 0
+        assert len(rep.details["newton_steps"]) == rep.iterations
+        assert rep.krylov_iterations == 0
         assert rep.stop_reason == reason
         assert rep.converged == (reason != "max_iters")
         if reason == "max_iters":
@@ -1246,7 +1270,7 @@ class TestNewton:
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):
             U, rep = solve(pb)
-            assert rep.solver == "newton" and rep.converged
+            assert rep.converged and rep.iterations > 0
             assert rep.residual_regular_max <= 1e-5
             assert rep.perron_check <= 1e-14
             assert rep.two_init_discrepancy <= 10.0 * pb.sweep_tol
@@ -1264,7 +1288,6 @@ class TestValidateSlices:
             nt=9,
             sweep_tol=1e-13,
             check_two_init=False,
-            mode=JACOBI,
         )
         U, _ = solve(pb)
         ranges, ok = validate_slices(pb, U)
