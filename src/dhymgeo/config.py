@@ -9,6 +9,9 @@ Layout::
     alpha0 = 3              ; matrix literal, rows as indented lines
     psi_alpha = 0.1*cos(2*pi*x1)   ; expression or @relative/path.grid
 
+    [dhym]
+    phi = 0.1*sin(2*pi*x1)          ; dhym command only: potential, or none
+
     [problem]
     phi1 = 0.3*cos(2*pi*x1)
     phi2 = 0.2*sin(2*pi*x1)
@@ -98,9 +101,9 @@ def _geometry(cp, path):
 
 
 def load_dhym_potential(path, geom):
-    cp = _read(path)
-    if cp.has_section("dhym") and cp["dhym"].get("phi", "").strip():
-        return _field(geom, cp["dhym"]["phi"], Path(path).parent)
+    phi = _section(_read(path), "dhym", ("phi",)).get("phi", "").strip()
+    if phi:
+        return _field(geom, phi, Path(path).parent)
     return None
 
 

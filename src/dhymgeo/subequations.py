@@ -212,11 +212,14 @@ def sample_hermitian(rng, dim, count, scales=_SCALES):
     """(count, dim, dim) Hermitian draws with a scale-mixture spread:
     s (G + G^H) / 2 with G = X + iY standard normal, X drawn before Y.  The
     real and imaginary parts are written in place, with no complex
-    temporaries; halving is exact, so this is bitwise the complex form."""
+    temporaries: one real buffer is filled with X, symmetrized into the
+    real part, then refilled with Y (the same stream as two fresh draws).
+    Halving is exact, so this is bitwise the complex form."""
     half_s = 0.5 * np.asarray(scales)[rng.integers(0, len(scales), size=count)][:, None, None]
     H = np.empty((count, dim, dim), dtype=complex)
+    G = np.empty((count, dim, dim))
     for part, op in ((H.real, np.add), (H.imag, np.subtract)):
-        G = rng.standard_normal((count, dim, dim))
+        rng.standard_normal(out=G)
         op(G, np.swapaxes(G, -2, -1), out=part)
         np.multiply(part, half_s, out=part)
     return H
@@ -280,6 +283,15 @@ def _convexity_candidates(rng, c, m, count):
 def _sample_members_spacetime(rng, c, m, count, eps, max_rounds=200):
     """Rejection-sample ``count`` space-time matrices with usc angle >= c.
 
+    The first round draws one candidate per member still needed; each
+    later round draws about 1.1 * need / p + 64, with p the acceptance
+    seen so far in this call, so most calls finish in two rounds and few
+    lifted candidates are thrown away.  Every round is capped at
+    max(4 * need, 512), which is also the size taken while nothing has
+    been accepted.  Round sizes depend only on ``rng``'s own draws, so a
+    shard's members are fixed by its seed, and each kept member is still
+    a proposal draw conditioned on phi~ >= c.
+
     Returns (members, drawn, accepted): the first ``count`` members, the
     number of candidates drawn and how many of them had angle >= c (members
     beyond ``count`` in the last round are counted but not kept).
@@ -289,15 +301,22 @@ def _sample_members_spacetime(rng, c, m, count, eps, max_rounds=200):
     drawn = 0
     accepted = 0
     for _ in range(max_rounds):
-        chunk = max(4 * (count - got), 512)
+        need = count - got
+        cap = max(4 * need, 512)
+        if not drawn:
+            chunk = need
+        elif accepted:
+            chunk = min(int(1.1 * need * drawn / accepted) + 64, cap)
+        else:
+            chunk = cap
         A = _convexity_candidates(rng, c, m, chunk)
         vals, _ = phi_lifted_usc_batch(A, eps)
         keep = A[vals >= c]
         drawn += chunk
         accepted += keep.shape[0]
         if keep.shape[0]:
-            out.append(keep[: count - got])
-            got += min(keep.shape[0], count - got)
+            out.append(keep[:need])
+            got += min(keep.shape[0], need)
         if got >= count:
             return np.concatenate(out, axis=0), drawn, accepted
         if drawn > 20000 and got / drawn < 1e-3:
@@ -360,6 +379,7 @@ def convexity_fuzz(
             "n": branch.n,
             "gap_tol": gap_tol,
             "acceptance_rate": accepted / max(drawn, 1),
+            "drawn": drawn,
         },
         witnesses=witnesses,
     )

@@ -108,6 +108,13 @@ class TestFuzzCommand:
         assert code == 0
         assert int(grep(out, "violations")) > 0
 
+    def test_convexity_reports_candidates_drawn(self, capsys):
+        # 2000 trials need 4000 members; at acceptance p about
+        # 4000 / p candidates are drawn and lifted
+        _, out, _ = run(capsys, "fuzz", "--suite", "convexity-negative", "--trials", "2000")
+        drawn = int(grep(out, "drawn"))
+        assert 4000 <= drawn < 2 * 4000 / float(grep(out, "acceptance_rate"))
+
     def test_duality_and_positivity(self, capsys):
         for suite in ("duality", "positivity"):
             code, out, _ = run(
@@ -144,6 +151,25 @@ class TestDhymCommand:
         assert code == 2
         assert out == ""
         assert "unknown key 'alpha_0' in [geometry]" in err
+
+    def test_sample_potential_is_read(self, capsys, tmp_path):
+        # the sample's [dhym] phi changes the report against no potential
+        code, out, _ = run(capsys, "dhym", "--config", str(CONFIGS / "dhym_sample.cfg"))
+        assert code == 0
+        cfg = tmp_path / "nophi.cfg"
+        text = (CONFIGS / "dhym_sample.cfg").read_text()
+        cfg.write_text(text.replace("phi = 0.1*sin(2*pi*x1)", ""))
+        _, bare, _ = run(capsys, "dhym", "--config", str(cfg))
+        assert grep(out, "h_margin") != grep(bare, "h_margin")
+
+    def test_unknown_dhym_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        text = (CONFIGS / "dhym_sample.cfg").read_text()
+        cfg.write_text(text.replace("phi = ", "ph = "))
+        code, out, err = run(capsys, "dhym", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'ph' in [dhym]" in err
 
     def test_writes_fields(self, capsys, tmp_path):
         out_dir = tmp_path / "fields"

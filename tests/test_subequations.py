@@ -26,6 +26,10 @@ from test_angles import plain_bisection
 from test_linalg import random_hermitian
 
 
+# the negative control: outside the convexity regime for n = 2
+NEGATIVE = Branch(c=-0.75 * math.pi, n=2)
+
+
 def spacetime_spec(c, n, twist=None, dual=False):
     return SubeqSpec(space=SPACETIME, branch=Branch(c=c, n=n), twist=twist, dual=dual)
 
@@ -282,6 +286,25 @@ class TestDuality:
         assert checked_in > 20 and checked_out > 20
 
 
+def fixed_round_drawn(branch, trials, seed):
+    """Candidates that fixed rounds of max(4 * need, 512) draw on
+    convexity_fuzz's shard seeds: the cost the acceptance-sized rounds
+    are held against."""
+    m = branch.n + 1
+    n_shards = math.ceil(trials / subequations._SHARD)
+    drawn = 0
+    for i, seedseq in enumerate(subequations._shard_seeds(seed, n_shards)):
+        rng = np.random.default_rng(seedseq)
+        need = 2 * min(subequations._SHARD, trials - i * subequations._SHARD)
+        while need > 0:
+            chunk = max(4 * need, 512)
+            A = subequations._convexity_candidates(rng, branch.c, m, chunk)
+            vals, _ = angles.phi_lifted_usc_batch(A, angles.EPS_SINGULAR)
+            drawn += chunk
+            need -= min(int(np.sum(vals >= branch.c)), need)
+    return drawn
+
+
 class TestConvexityFuzz:
     def test_in_regime_clean(self):
         rep = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=42)
@@ -312,6 +335,10 @@ class TestConvexityFuzz:
         assert rep.violations > 0
         assert rep.worst < -1e-3
         assert len(rep.witnesses) > 0
+        # at acceptance about 0.77, rounds sized from it draw at most half
+        # of the fixed rounds' max(4 * need, 512)
+        assert fixed_round_drawn(NEGATIVE, 4000, 5) == 32000
+        assert rep.details["drawn"] <= 16000
 
     def test_acceptance_rate_counts_every_member_drawn(self):
         # the negative control's superlevel set holds about 3/4 of the
@@ -322,11 +349,109 @@ class TestConvexityFuzz:
         assert rep.details["acceptance_rate"] > 0.5
 
     def test_deterministic_and_thread_invariant(self):
-        a = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=11)
-        b = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=11)
-        c = convexity_fuzz(Branch(c=math.pi / 4, n=1), 3000, seed=11, threads=4)
-        assert a.worst == b.worst == c.worst
-        assert a.violations == b.violations == c.violations
+        def run(branch, threads):
+            rep = convexity_fuzz(
+                branch, 3000, seed=11, allow_out_of_regime=True, threads=threads
+            )
+            d = rep.details
+            return rep.worst, rep.violations, d["acceptance_rate"], d["drawn"]
+
+        for branch in (Branch(c=math.pi / 4, n=1), Branch(c=0.6 * math.pi, n=2), NEGATIVE):
+            first = run(branch, None)
+            assert run(branch, None) == first
+            for threads in (1, 2, 4):
+                assert run(branch, threads) == first, (branch, threads)
+
+
+class TestMemberSampler:
+    @pytest.mark.parametrize(
+        "branch",
+        [Branch(c=0.35 * math.pi, n=1), Branch(c=0.9 * math.pi, n=2), NEGATIVE],
+    )
+    @pytest.mark.parametrize("count", [3, 600, 4000])
+    def test_rounds_never_exceed_the_fixed_cap(self, monkeypatch, branch, count):
+        m = branch.n + 1
+        rounds = []
+        candidates = subequations._convexity_candidates
+
+        def recording(rng, c, dim, size):
+            A = candidates(rng, c, dim, size)
+            vals, _ = angles.phi_lifted_usc_batch(A, angles.EPS_SINGULAR)
+            rounds.append((size, int(np.sum(vals >= c))))
+            return A
+
+        monkeypatch.setattr(subequations, "_convexity_candidates", recording)
+        rng = np.random.default_rng(3)
+        members, drawn, accepted = subequations._sample_members_spacetime(
+            rng, branch.c, m, count, angles.EPS_SINGULAR
+        )
+        assert members.shape == (count, m, m)
+        assert rounds[0][0] == count
+        need = count
+        for size, kept in rounds:
+            assert 0 < size <= max(4 * need, 512)
+            need -= min(kept, need)
+        assert need == 0
+        assert drawn == sum(size for size, _ in rounds)
+        assert accepted == sum(kept for _, kept in rounds)
+
+    def test_nothing_accepted_takes_the_cap(self, monkeypatch):
+        # a first round with no member leaves no acceptance to size from
+        rounds = []
+        candidates = subequations._convexity_candidates
+
+        def recording(rng, c, dim, size):
+            rounds.append(size)
+            A = candidates(rng, c, dim, size)
+            return A - 1e3 * np.eye(dim) if len(rounds) == 1 else A
+
+        monkeypatch.setattr(subequations, "_convexity_candidates", recording)
+        subequations._sample_members_spacetime(
+            np.random.default_rng(4), 0.25 * math.pi, 2, 100, angles.EPS_SINGULAR
+        )
+        assert rounds[:2] == [100, 512]
+
+    def test_low_acceptance_draws_no_more(self):
+        # acceptance about 0.24: the fixed rounds were already near the floor,
+        # and the cap keeps the sized rounds near them
+        branch = Branch(c=0.6 * math.pi, n=2)
+        rep = convexity_fuzz(branch, 4000, seed=5)
+        assert rep.details["drawn"] <= 1.05 * fixed_round_drawn(branch, 4000, 5)
+        assert rep.violations == 0
+
+
+class TestOtherStreams:
+    # Floats recorded at a fixed seed: duality and positivity draw through
+    # sample_hermitian like the convexity sampler, and a sampler change
+    # must not move their streams unnoticed.
+
+    def test_duality_stream_pinned(self, monkeypatch):
+        seen = []
+        lsc = subequations.phi_lifted_lsc_batch
+
+        def recording(A, eps):
+            seen.append(A.copy())
+            return lsc(A, eps)
+
+        monkeypatch.setattr(subequations, "phi_lifted_lsc_batch", recording)
+        rep = duality_fuzz(2, 3000, seed=17)
+        # the identity holds exactly on these draws, so the inputs carry the pin
+        assert rep.worst == 0.0
+        assert rep.details["forced_singular"] == 101
+        assert seen[0][150, 1, 2] == complex(-0.40000748131906483, -0.029700817103563315)
+        assert seen[1][-1, 2, 2] == 7.623034880220385
+
+    @pytest.mark.parametrize(
+        "spec, worst",
+        [
+            (spacetime_spec(0.75 * math.pi, 2), 0.0003634334196205291),
+            (SubeqSpec(space=SPATIAL, branch=Branch(c=0.4, n=2)), 0.000309965595107764),
+        ],
+    )
+    def test_positivity_worst_pinned(self, spec, worst):
+        rep = positivity_fuzz(spec, 3000, seed=19)
+        assert rep.worst == worst
+        assert rep.violations == 0
 
 
 class TestPositivityFuzz:
