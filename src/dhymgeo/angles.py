@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_hermitian, check_symmetric, hermitian_of, jproject
+from .linalg import HERM_TOL, check_hermitian, check_symmetric, hermitian_of, jproject
 
 REGULAR = "regular"
 SINGULAR_UPPER = "singular-upper"
@@ -396,12 +396,12 @@ def _skew_defect(A):
     return np.sqrt(_sq_sum(A.real - At.real) + _sq_sum(A.imag + At.imag))
 
 
-def _phi_lifted_batch(A, eps, sign, tol=1e-12):
+def _phi_lifted_batch(A, eps, sign):
     """(values, singular) of the usc (sign +1) or lsc (sign -1) lift of a stack.
 
     Raises ValueError when a matrix has a non-finite entry or norm (its norm
     overflows from about 1e154), or is not self-adjoint within
-    tol * (1 + ||A||).
+    HERM_TOL * (1 + ||A||).
     """
     A = np.asarray(A)
     m = A.shape[-1]
@@ -414,7 +414,7 @@ def _phi_lifted_batch(A, eps, sign, tol=1e-12):
         scale = 1.0 + np.sqrt(_sq_norm(block))
         if not np.all(np.isfinite(scale)):
             raise ValueError("batch input has a non-finite entry or norm")
-        if np.any(_skew_defect(block) > tol * scale):
+        if np.any(_skew_defect(block) > HERM_TOL * scale):
             raise ValueError("batch input is not self-adjoint")
         vals[start:stop], singular[start:stop], _ = _lift(block, scale, eps, sign)
     return vals.reshape(A.shape[:-2]), singular.reshape(A.shape[:-2])

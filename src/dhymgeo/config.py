@@ -19,16 +19,15 @@ Layout::
     [solver]
     nt = 33
     sweep_tol = 1e-12       ; Newton stops when an unshifted step moves less
-    bisect_tol = 1e-10
     max_iters = 100000      ; Newton steps
     two_init = true         ; second run from the lower envelope, report agreement
     residual_tol = 1e-5
 
 Potential values starting with ``@`` are grid files (header line with the
 axis sizes, then little-endian float64), resolved relative to the config
-file.  A key these sections do not define (a misspelling, or the removed
-``mode``), a repeated key, and a boolean other than 1/yes/true/on or
-0/no/false/off are refused with PreconditionError (exit 2).
+file.  A key these sections do not define (a misspelling, say), a
+repeated key, and a boolean other than 1/yes/true/on or 0/no/false/off
+are refused with PreconditionError (exit 2).
 """
 
 from __future__ import annotations
@@ -121,9 +120,7 @@ def load_problem(path):
     phi2 = _field(geom, sec["phi2"], base)
     branch = select_branch(geom, require_regime=True)
 
-    sol = _section(
-        cp, "solver", ("nt", "sweep_tol", "bisect_tol", "max_iters", "two_init", "residual_tol")
-    )
+    sol = _section(cp, "solver", ("nt", "sweep_tol", "max_iters", "two_init", "residual_tol"))
 
     def get(key, cast, default):
         raw = (sol.get(key) or "").strip()
@@ -143,7 +140,6 @@ def load_problem(path):
         branch=branch,
         nt=get("nt", int, 33),
         sweep_tol=get("sweep_tol", float, 1e-8),
-        bisect_tol=get("bisect_tol", float, 1e-10),
         max_iters=get("max_iters", int, 100000),
         check_two_init=get("two_init", bool, True),
     )

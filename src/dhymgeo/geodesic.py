@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -148,9 +149,10 @@ class GeodesicProblem:
     in the convexity window (n-1)*pi/2 < c < n*pi/2.  ``bisect_tol`` is
     the width of the certified bracket of a pointwise update.  Grids are
     solved by Newton steps on T(U) - U, with T the Jacobi Perron map, which
-    ``sweep_tol`` (the name predates Newton) and ``max_iters`` bound; both
-    tolerances must be finite and positive.  ``mode`` accepts only "jacobi"
-    and is kept because the benchmark workloads pass it.
+    ``sweep_tol`` and ``max_iters`` bound; both tolerances must be finite
+    and positive, and ``max_iters`` a non-negative integer.  ``mode``
+    accepts only "jacobi" and is kept because the benchmark workloads pass
+    it.
     """
 
     geom: object
@@ -176,8 +178,8 @@ class GeodesicProblem:
         for name, value in (("sweep_tol", self.sweep_tol), ("bisect_tol", self.bisect_tol)):
             if not 0.0 < value < math.inf:
                 raise PreconditionError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_iters < 0:
-            raise PreconditionError(f"max_iters must not be negative, got {self.max_iters!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise PreconditionError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
         if self.branch.n != self.geom.n:
             raise PreconditionError("branch dimension does not match the geometry")
         try:
@@ -451,19 +453,24 @@ class _SweepN1:
                         -1.0 / ((4.0 * ht * h) ** 2 * a * g),
                     )
                 )
-        # Work arrays, all interior-shaped: a scratch array, the kernel's, and
-        # the weights per axis of ``linearize``.  Temporaries of a whole-grid
-        # expression sit above glibc's mmap threshold: each one was mapped,
-        # trimmed and faulted in again on every sweep, which cost about two
-        # thirds of a sweep on a 25 x 32 x 32 grid.  From ``linearize`` to
-        # the next ``updates`` the second kernel array holds the residual,
-        # ``jacobian_product`` runs in the first, third and fifth, and the
-        # fourth is idle (``_Krylov`` keeps its step there).  Every array is
-        # C-contiguous, so ``_neighbour_pairs`` can write its interior through
-        # a flat view of the output.
+        # Work arrays, all interior-shaped and C-contiguous, so
+        # ``_neighbour_pairs`` can write its interior through a flat view of
+        # the output.  Temporaries of a whole-grid expression sit above
+        # glibc's mmap threshold: each one was mapped, trimmed and faulted in
+        # again on every sweep, which cost about two thirds of a sweep on a
+        # 25 x 32 x 32 grid.  Their roles, by the method that writes them:
+        #        updates                   linearize  jacobian_product  GMRES
+        #   0    2 m0, then v              v          S
+        #   1    rho                       residual                     F
+        #   2    u(t+1) - u(t-1), then r   r          Dv
+        #   3    -4 kappa                  1/(2r)                       step
+        #   4    temporaries, then 2w      2w         temporaries
+        #   mask rho <= 0                  r > 0
+        # wd holds each Delta_h after ``updates`` and the weights after
+        # ``linearize``.  Array 3, ``spare``, is free after either of them.
         shape = (problem.nt - 2,) + geom.grid
-        self.scratch = np.empty(shape)
         self._work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
+        self.spare = self._work[3]
         self.wx = np.empty((len(self.axes),) + shape)
         self.wd = np.empty_like(self.wx)
 
@@ -480,21 +487,23 @@ class _SweepN1:
 
         With r = sqrt(rho^2 + 4 kappa) the root is (rho - r) / 2 where
         rho <= 0 and -2 kappa / (rho + r) where rho > 0, so neither form
-        cancels.  The result is a work array that the next call overwrites.
+        cancels.  The result is a work array that the next call overwrites;
+        r, 2w and each axis's mixed difference Delta_h (in wd) stay for
+        ``linearize``.
         """
-        M, R, D, F, W, positive = self._work
+        M, R, D, F, W, mask = self._work
         np.add(up, dn, out=M)  # 2 m0
         np.subtract(up, dn, out=D)  # 2 ht u_t
-        for i, (axis, ends, lam_w, b_w) in enumerate(self.axes):
+        for i, ((axis, ends, lam_w, b_w), delta) in enumerate(zip(self.axes, self.wd)):
             # rho: the second difference along the axis about m0
             _neighbour_pairs(np.add, mid, W, axis, ends)
             np.subtract(W, M, out=W)
             np.multiply(W, lam_w, out=W)
             np.add(R if i else self.rho0, W, out=R)
             # -4 kappa: the squared mixed difference along the axis
+            _neighbour_pairs(np.subtract, D, delta, axis, ends)
             T = W if i else F
-            _neighbour_pairs(np.subtract, D, T, axis, ends)
-            np.multiply(T, T, out=T)
+            np.multiply(delta, delta, out=T)
             np.multiply(T, b_w, out=T)
             if i:
                 np.add(F, T, out=F)
@@ -502,16 +511,17 @@ class _SweepN1:
         np.multiply(R, R, out=D)
         np.subtract(D, F, out=D)
         np.sqrt(D, out=D)
-        # 2 w, directly where rho <= 0 and through the product of the roots
-        # where rho > 0
+        # 2 w, through the product of the roots where rho > 0 and directly
+        # where rho <= 0
+        np.greater(R, 0.0, out=mask)
         np.add(R, D, out=W)
-        np.subtract(R, D, out=D)
-        np.greater(R, 0.0, out=positive)
-        np.divide(F, W, out=D, where=positive)
+        np.divide(F, W, out=W, where=mask)
+        np.logical_not(mask, out=mask)
+        np.subtract(R, D, out=W, where=mask)
         # v = (2 m0 + 2 w) / 2
-        np.add(M, D, out=D)
-        np.multiply(D, 0.5, out=D)
-        return D
+        np.add(M, W, out=M)
+        np.multiply(M, 0.5, out=M)
+        return M
 
     def linearize(self, up, mid, dn):
         """(T(u) - u, wx, wd): the residual of the Perron map and the neighbour
@@ -531,29 +541,17 @@ class _SweepN1:
         At r = 0 (rho = kappa = 0) the map has no derivative; the weights
         there are its limit along kappa = 0, rho -> 0+, where v = m0:
         wx = wd = 0.  The residual is a kernel work array that the next
-        ``updates`` overwrites; the weights last until the next ``linearize``.
+        ``updates`` overwrites; the weights last until the next ``updates``.
         """
         v = self.updates(up, mid, dn)
-        # ``updates`` leaves rho in R and -4 kappa in F
-        r, R, _, F, two_w, positive = self._work
-        np.multiply(R, R, out=r)
-        np.subtract(r, F, out=r)
-        np.sqrt(r, out=r)
-        # 2w in the kernel's two non-cancelling forms
-        np.greater(R, 0.0, out=positive)
-        np.subtract(R, r, out=two_w)
-        np.add(R, r, out=R)
-        np.divide(F, R, out=two_w, where=positive)
-        half_inv_r = F
+        _, residual, r, half_inv_r, two_w, positive = self._work
         half_inv_r.fill(0.0)
         np.greater(r, 0.0, out=positive)
         np.divide(0.5, r, out=half_inv_r, where=positive)
-        residual = np.subtract(v, mid, out=R)
-        D = np.subtract(up, dn, out=r)
-        for (axis, ends, lam_w, b_w), wx, wd in zip(self.axes, self.wx, self.wd):
+        np.subtract(v, mid, out=residual)
+        for (_, _, lam_w, b_w), wx, wd in zip(self.axes, self.wx, self.wd):
             np.multiply(two_w, -lam_w, out=wx)
             np.multiply(wx, half_inv_r, out=wx)
-            _neighbour_pairs(np.subtract, D, wd, axis, ends)
             np.multiply(wd, b_w, out=wd)
             np.multiply(wd, half_inv_r, out=wd)
         return residual, self.wx, self.wd
@@ -588,9 +586,9 @@ class _SweepN1:
 
     def max_change(self, new, old):
         """Largest |new - old| over the interior."""
-        np.subtract(new, old, out=self.scratch)
-        np.abs(self.scratch, out=self.scratch)
-        return float(np.max(self.scratch))
+        np.subtract(new, old, out=self.spare)
+        np.abs(self.spare, out=self.spare)
+        return float(np.max(self.spare))
 
 
 @dataclass
@@ -673,17 +671,15 @@ def _residual_stats(problem, U):
     }
 
 
-def validate_slices(problem, U, tol_slice=1e-3):
-    """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2],
-    from one ``angle_field`` call on the stack of slices.  A slice whose
-    range is not finite fails."""
+def validate_slices(problem, U):
+    """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2]
+    widened by 1e-3, from one ``angle_field`` call on the stack of slices.
+    A slice whose range is not finite fails."""
     c = problem.branch.c
     values = angle_field(problem.geom, _check_grid(problem, U)[1:-1]).values
     values = values.reshape(problem.nt - 2, -1)
     vmin, vmax = values.min(axis=1), values.max(axis=1)
-    ok = bool(
-        np.all(vmin >= c - math.pi / 2 - tol_slice) and np.all(vmax <= c + math.pi / 2 + tol_slice)
-    )
+    ok = bool(np.all(vmin >= c - math.pi / 2 - 1e-3) and np.all(vmax <= c + math.pi / 2 + 1e-3))
     return list(zip(vmin.tolist(), vmax.tolist())), ok
 
 
@@ -809,6 +805,10 @@ class _Krylov:
 
     def __init__(self, machine, shape):
         self.machine = machine
+        # the preconditioned vector (also the Gram-Schmidt scratch), taken
+        # before the mapping below: after it, a 25 x 32 x 32 solve's process
+        # peaked about 0.15 MB higher
+        self.z = np.empty(shape)
         # The basis sits in an anonymous mapping of its own, out of malloc's
         # sight.  As a malloc block (1.7 MB on a 25 x 32 x 32 grid) its free
         # raised glibc's dynamic mmap threshold, the solver's freed arrays
@@ -816,9 +816,8 @@ class _Krylov:
         mapping = mmap.mmap(-1, 8 * (_KRYLOV_RESTART + 1) * math.prod(shape))
         self.vectors = np.frombuffer(mapping).reshape((_KRYLOV_RESTART + 1,) + shape)
         self.basis = self.vectors.reshape(_KRYLOV_RESTART + 1, -1)
-        # the step, and the preconditioned vector (also the Gram-Schmidt
-        # scratch), in the machine's arrays that are idle during the solve
-        self.step, self.z = machine._work[3], machine.scratch
+        # the step, in the machine's array that is idle during the solve
+        self.step = machine.spare
         self.hx, self.hy = _hartley(shape[1]), _hartley(shape[2])
         # 2 cos(2 pi k / n) per machine axis, shaped to broadcast over the modes
         self.cosines = [

@@ -123,6 +123,13 @@ class TestFuzzCommand:
             assert code == 0, suite
             assert grep(out, "violations") == "0"
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_exit_2(self, capsys, trials):
+        code, out, err = run(capsys, "fuzz", "--suite", "convexity", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "trials must be at least 1" in err
+
     def test_deterministic_output(self, capsys):
         args = ("fuzz", "--suite", "convexity", "--trials", "1000", "--seed", "7")
         _, out1, _ = run(capsys, *args)
@@ -381,11 +388,13 @@ class TestGeodesicCommand:
             ("solver", "sweep_tl = 1e-14"),
             ("problem", "phi3 = 0.1"),
             ("geometry", "alpha = 3"),
+            ("solver", "bisect_tol = 0"),
         ],
-        ids=["solver", "problem", "geometry"],
+        ids=["solver", "problem", "geometry", "bisect_tol"],
     )
     def test_unknown_key_exit_2(self, capsys, tmp_path, section, line):
-        # a misspelt key used to run silently at the default
+        # a misspelt key used to run silently at the default; bisect_tol
+        # bounds only the pointwise update, which a geodesic solve never calls
         cfg = tmp_path / "typo.cfg"
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
         cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
@@ -419,12 +428,11 @@ class TestGeodesicCommand:
 
     @pytest.mark.parametrize(
         "line",
-        ["bisect_tol = 0", "sweep_tol = nan", "sweep_tol = inf", "max_iters = -1"],
+        ["sweep_tol = nan", "sweep_tol = inf", "max_iters = -1"],
         ids=lambda line: line.replace(" = ", "="),
     )
     def test_bad_solver_bound_exit_2(self, capsys, tmp_path, line):
-        # a zero bisect_tol would never return, and a negative max_iters
-        # would never stop
+        # a negative max_iters would never stop
         key = line.split(" =")[0]
         text = (CONFIGS / "geodesic_sample.cfg").read_text()
         kept = [ln for ln in text.splitlines() if not ln.startswith(key + " =")]

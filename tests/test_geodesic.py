@@ -499,30 +499,45 @@ class TestPerronRoot:
                 assert abs(perron_update(pb, U, it, ix, bars.lower, bars.upper) - v) <= pb.bisect_tol
 
 
-def _roll_updates(pb, U):
-    """Reference Perron values of every interior point: the re-centred
-    quadratic written with np.roll, in the kernel's operation order."""
+def _roll_rho0(pb):
+    """The part of rho that does not depend on u, per grid point."""
     geom = pb.geom
     sinc = math.sin(pb.branch.c)
-    a, gs = geodesic._center_coeffs(pb)
-    g = float(gs[0])
+    g = float(geodesic._center_coeffs(pb)[1][0])
     psi = geom.psi_alpha if geom.psi_alpha is not None else geom.zeros()
     lam0 = float(geom.alpha0[0, 0].real) + complex_hessian(geom, psi)[..., 0, 0].real
-    rho = (math.cos(pb.branch.c) + sinc * lam0) / (g * sinc)
+    return (math.cos(pb.branch.c) + sinc * lam0) / (g * sinc)
+
+
+def _roll_quadratic(pb, U, rho0):
+    """(2 m0, r, 2w, axes) of the re-centred quadratic at every interior
+    point, written with np.roll in the kernel's operation order; ``axes``
+    holds (lam_w, b_w, Delta) per spatial axis."""
+    geom = pb.geom
+    a, gs = geodesic._center_coeffs(pb)
+    g = float(gs[0])
     up, mid, dn = U[2:], U[1:-1], U[:-2]
     m2 = up + dn
     dt = up - dn
-    k4 = 0.0  # -4 kappa
+    rho, k4, axes = rho0, 0.0, []  # k4 = -4 kappa
     for j in (geom.x_axis(0), geom.y_axis(0)):
         if j is None:
             continue
         h, ax = geom.spacings[j], 1 + j
-        rho = rho + ((np.roll(mid, -1, ax) + np.roll(mid, 1, ax)) - m2) * (1.0 / (4.0 * h * h * g))
+        lam_w, b_w = 1.0 / (4.0 * h * h * g), -1.0 / ((4.0 * pb.ht * h) ** 2 * a * g)
+        rho = rho + ((np.roll(mid, -1, ax) + np.roll(mid, 1, ax)) - m2) * lam_w
         mixed = np.roll(dt, -1, ax) - np.roll(dt, 1, ax)
-        k4 = k4 + (mixed * mixed) * (-1.0 / ((4.0 * pb.ht * h) ** 2 * a * g))
+        k4 = k4 + (mixed * mixed) * b_w
+        axes.append((lam_w, b_w, mixed))
     r = np.sqrt(rho * rho - k4)
     with np.errstate(divide="ignore", invalid="ignore"):
         w2 = np.where(rho > 0.0, k4 / (rho + r), rho - r)
+    return m2, r, w2, axes
+
+
+def _roll_updates(pb, U):
+    """Reference Perron values of every interior point."""
+    m2, _, w2, _ = _roll_quadratic(pb, U, _roll_rho0(pb))
     return (m2 + w2) * 0.5
 
 
@@ -828,13 +843,15 @@ class TestSolve:
             dict(sweep_tol=math.nan),
             dict(sweep_tol=math.inf),
             dict(max_iters=-1),
+            dict(max_iters=1.5),
+            dict(max_iters=math.inf),
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_refuses_unusable_bounds(self, kw):
         # a bisection cannot narrow two adjacent floats below a zero
-        # bisect_tol, and the Newton step count never reaches a negative
-        # max_iters: the problem is refused before any of it runs
+        # bisect_tol, and the Newton step count never reaches a negative or
+        # non-integral max_iters: the problem is refused before any of it runs
         pb = small_problem(nx=8, nt=5)
         U = build_barriers(pb).lower
         with mock.patch.object(geodesic, "_ray_boundary", side_effect=AssertionError) as ray:
@@ -1046,6 +1063,29 @@ class TestNewton:
             vm = machine.updates(Um[2:], Um[1:-1], Um[:-2])
             fd[:, col] = ((vp - vm) / (2 * h)).reshape(-1)
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize(
+        "state", ["seed0", "seed1", "shift", "sample", "full", "flat-reduced", "flat-full"]
+    )
+    def test_linearize_matches_roll_reference(self, state):
+        # bitwise: the residual and the weights from the root, 2w and mixed
+        # differences of the np.roll quadratic, and 0 where r = 0
+        pb, U = newton_state({"flat-reduced": "seed0", "flat-full": "full"}.get(state, state))
+        machine = geodesic._SweepN1(pb)
+        rho0 = _roll_rho0(pb)
+        if state.startswith("flat"):
+            # with rho0 = 0, rho = kappa = 0 wherever the (t, x) neighbours
+            # of a point hold one value
+            U[:, :4] = 0.1
+            machine.rho0 = rho0 = np.zeros_like(machine.rho0)
+        m2, r, w2, axes = _roll_quadratic(pb, U, rho0)
+        assert np.any(r == 0.0) == state.startswith("flat")
+        with np.errstate(divide="ignore"):
+            half_inv_r = np.where(r > 0.0, 0.5 / r, 0.0)
+        F, wx, wd = machine.linearize(U[2:], U[1:-1], U[:-2])
+        assert np.array_equal(F, (m2 + w2) * 0.5 - U[1:-1])
+        assert np.array_equal(wx, np.stack([(w2 * -lam_w) * half_inv_r for lam_w, _, _ in axes]))
+        assert np.array_equal(wd, np.stack([(mixed * b_w) * half_inv_r for _, b_w, mixed in axes]))
 
     @pytest.mark.parametrize("shift", [0.0, 0.01])
     def test_block_thomas_matches_dense_solve(self, shift):

@@ -475,6 +475,22 @@ class TestPositivityFuzz:
             assert rep.violations == 0, spec.kind
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda trials: duality_fuzz(1, trials, seed=3),
+        lambda trials: positivity_fuzz(spacetime_spec(math.pi / 4, 1), trials, seed=3),
+        lambda trials: convexity_fuzz(Branch(c=math.pi / 4, n=1), trials, seed=3),
+    ],
+    ids=["duality", "positivity", "convexity"],
+)
+def test_refuses_fewer_than_one_trial(suite, trials):
+    # no shard to reduce over: numpy raised on the empty or negative sizes
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        suite(trials)
+
+
 class TestSampling:
     def test_sample_shapes_and_hermitian(self):
         rng = np.random.default_rng(36)
