@@ -78,7 +78,13 @@ class Report:
             (Path(out_dir) / name).write_text(text)
 
 
+def _check_eps_singular(args):
+    if not args.eps_singular >= 0.0:
+        raise PreconditionError(f"--eps-singular must be >= 0, got {args.eps_singular!r}")
+
+
 def cmd_angles(args):
+    _check_eps_singular(args)
     if args.matrix == "-":
         text = sys.stdin.read()
     else:
@@ -114,9 +120,10 @@ def _default_c(n):
 
 
 def cmd_fuzz(args):
-    n = args.n
+    _check_eps_singular(args)
     rep = Report()
     negative = args.suite == "convexity-negative"
+    n = args.n if args.n is not None else (2 if negative else 1)
     if args.suite == "duality":
         result = duality_fuzz(
             n, args.trials, args.seed, eps=args.eps_singular, threads=args.threads
@@ -130,11 +137,8 @@ def cmd_fuzz(args):
         )
         passed = result.violations == 0
     elif args.suite in ("convexity", "convexity-negative"):
-        if negative:
-            n = args.n if args.n != 1 else 2
-            c = args.c if args.c is not None else -0.75 * math.pi
-        else:
-            c = args.c if args.c is not None else _default_c(n)
+        default_c = -0.75 * math.pi if negative else _default_c(n)
+        c = args.c if args.c is not None else default_c
         result = convexity_fuzz(
             Branch(c=c, n=n),
             args.trials,
@@ -281,7 +285,12 @@ def build_parser():
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--c", type=float, default=None, help="branch constant (radians)")
-    p.add_argument("--n", type=int, default=1, help="spatial complex dimension")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help="spatial complex dimension (default 1, or 2 for convexity-negative)",
+    )
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--eps-singular", type=float, default=EPS_SINGULAR)
     p.add_argument("--out", default=None)

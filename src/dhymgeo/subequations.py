@@ -19,9 +19,14 @@ polynomial Im(e^{-i c} det(I0 + i(A - t*Id))) (degree n for the spatial
 sets, n + 1 for the space-time ones), checked by two membership
 evaluations.
 
-The fuzzers are deterministic given (trials, seed) and shard their
-trials into fixed-size blocks with per-shard child seeds, so a thread
-pool changes wall time but never results.
+Every fuzz suite runs through one harness, ``_fuzz``.  It splits the
+trials into shards of 2000 with child seeds spawned from ``seed``, so a
+thread pool changes wall time but never results.  A suite supplies
+``check(rng, start, size)`` for trials start .. start + size - 1, which
+returns the violation mask, a per-trial measure (the report's ``worst``
+is its min, or its max for duality), the witness of a violating trial
+and counters summed into the report's details.  Each shard keeps its
+first two witnesses and the report the first four.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ SPACETIME = "spacetime"
 
 _SHARD = 2000
 _SCALES = (0.1, 1.0, 10.0)
+_PSD_SCALES = (0.1, 1.0)
+# convexity gaps below -_GAP_TOL are violations
+_GAP_TOL = 1e-8
+_FORCED_SINGULAR = 100
 
 
 @dataclass(frozen=True)
@@ -225,9 +234,9 @@ def sample_hermitian(rng, dim, count, scales=_SCALES):
     return H
 
 
-def sample_psd(rng, dim, count, scales=(0.1, 1.0)):
+def sample_psd(rng, dim, count):
     """Random positive semidefinite matrices from squared Gaussian factors."""
-    s = np.asarray(scales)[rng.integers(0, len(scales), size=count)]
+    s = np.asarray(_PSD_SCALES)[rng.integers(0, len(_PSD_SCALES), size=count)]
     F = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
         (count, dim, dim)
     )
@@ -235,23 +244,41 @@ def sample_psd(rng, dim, count, scales=(0.1, 1.0)):
     return P * s[:, None, None]
 
 
-def _shard_seeds(seed, n_shards):
-    return np.random.SeedSequence(seed).spawn(n_shards)
-
-
-def _run_shards(worker, trials, seed, threads=None):
+def _fuzz(suite, check, trials, seed, threads, details, worst=np.min):
+    """Run ``check`` over the seeded shards of ``trials`` and build the report,
+    as the module docstring describes; ``details`` holds every counter key
+    at 0.  ``threads`` None or 1 runs the shards serially."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    n_shards = math.ceil(trials / _SHARD)
-    seeds = _shard_seeds(seed, n_shards)
-    sizes = [min(_SHARD, trials - i * _SHARD) for i in range(n_shards)]
-    jobs = list(zip(seeds, sizes))
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    starts = range(0, trials, _SHARD)
+    jobs = list(zip(np.random.SeedSequence(seed).spawn(len(starts)), starts))
+
+    def shard(job):
+        seedseq, start = job
+        rng = np.random.default_rng(seedseq)
+        bad, measure, witness, counts = check(rng, start, min(_SHARD, trials - start))
+        witnesses = [witness(i) for i in np.flatnonzero(bad)[:2]]
+        return int(np.sum(bad)), float(worst(measure)), witnesses, counts
+
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs))
+            results = list(pool.map(shard, jobs))
     else:
-        results = [worker(*job) for job in jobs]
-    return results
+        results = [shard(job) for job in jobs]
+    for *_, counts in results:
+        for key, value in counts.items():
+            details[key] += value
+    return FuzzReport(
+        suite=suite,
+        trials=trials,
+        violations=sum(r[0] for r in results),
+        worst=float(worst([r[1] for r in results])),
+        seed=seed,
+        details=details,
+        witnesses=[w for r in results for w in r[2]][:4],
+    )
 
 
 def _convexity_candidates(rng, c, m, count):
@@ -330,18 +357,12 @@ def _sample_members_spacetime(rng, c, m, count, eps):
 
 
 def convexity_fuzz(
-    branch,
-    trials,
-    seed,
-    gap_tol=1e-8,
-    eps=EPS_SINGULAR,
-    allow_out_of_regime=False,
-    threads=None,
+    branch, trials, seed, eps=EPS_SINGULAR, allow_out_of_regime=False, threads=None
 ):
     """Segment-sample the superlevel set {phi~ >= c} and count convexity violations.
 
     Draws member pairs (A0, A1), a uniform t in (0,1), and checks
-    phi~((1-t)A0 + t A1) >= c - gap_tol.  Inside the regime
+    phi~((1-t)A0 + t A1) >= c - 1e-8 (``_GAP_TOL``).  Inside the regime
     (n-1)pi/2 < c < n pi/2 the expected violation count is zero; outside
     it (negative control) violations are expected to appear.
     """
@@ -350,42 +371,24 @@ def convexity_fuzz(
     m = branch.n + 1
     c = branch.c
 
-    def worker(seedseq, size):
-        rng = np.random.default_rng(seedseq)
+    def check(rng, start, size):
         members, drawn, accepted = _sample_members_spacetime(rng, c, m, 2 * size, eps)
-        A0, A1 = members[:size], members[size : 2 * size]
+        A0, A1 = members[:size], members[size:]
         t = rng.uniform(0.0, 1.0, size=size)
         mid = (1.0 - t)[:, None, None] * A0 + t[:, None, None] * A1
         vals, _ = phi_lifted_usc_batch(mid, eps)
         gaps = vals - c
-        bad = gaps < -gap_tol
-        wit = [
-            (A0[i], A1[i], float(t[i]), float(gaps[i]))
-            for i in np.nonzero(bad)[0][:2]
-        ]
-        return int(np.sum(bad)), float(np.min(gaps)), accepted, drawn, wit
+        return (
+            gaps < -_GAP_TOL,
+            gaps,
+            lambda i: (A0[i], A1[i], float(t[i]), float(gaps[i])),
+            {"drawn": drawn, "accepted": accepted},
+        )
 
-    results = _run_shards(worker, trials, seed, threads)
-    violations = sum(r[0] for r in results)
-    worst = min(r[1] for r in results)
-    accepted = sum(r[2] for r in results)
-    drawn = sum(r[3] for r in results)
-    witnesses = [w for r in results for w in r[4]][:4]
-    return FuzzReport(
-        suite="convexity",
-        trials=trials,
-        violations=violations,
-        worst=worst,
-        seed=seed,
-        details={
-            "c": c,
-            "n": branch.n,
-            "gap_tol": gap_tol,
-            "acceptance_rate": accepted / max(drawn, 1),
-            "drawn": drawn,
-        },
-        witnesses=witnesses,
-    )
+    details = {"c": c, "n": branch.n, "gap_tol": _GAP_TOL, "drawn": 0, "accepted": 0}
+    rep = _fuzz("convexity", check, trials, seed, threads, details)
+    rep.details["acceptance_rate"] = rep.details.pop("accepted") / max(rep.details["drawn"], 1)
+    return rep
 
 
 def positivity_fuzz(spec, trials, seed, tol=1e-10, eps=EPS_SINGULAR, threads=None):
@@ -403,60 +406,42 @@ def positivity_fuzz(spec, trials, seed, tol=1e-10, eps=EPS_SINGULAR, threads=Non
         vals, _ = phi_lifted_usc_batch(X, eps)
         return vals
 
-    def worker(seedseq, size):
-        rng = np.random.default_rng(seedseq)
+    def check(rng, start, size):
         A = sample_hermitian(rng, m, size)
         P = sample_psd(rng, m, size)
         va = angle_values(A)
         vap = angle_values(A + P)
         drop = vap - va
-        bad = drop < -tol
         member_broken = (va >= spec.threshold) & (vap < spec.threshold - tol)
-        wit = [(A[i], P[i], float(drop[i])) for i in np.nonzero(bad)[0][:2]]
-        return int(np.sum(bad | member_broken)), float(np.min(drop)), wit
+        bad = (drop < -tol) | member_broken
+        return bad, drop, lambda i: (A[i], P[i], float(drop[i])), {}
 
-    results = _run_shards(worker, trials, seed, threads)
-    return FuzzReport(
-        suite="positivity",
-        trials=trials,
-        violations=sum(r[0] for r in results),
-        worst=min(r[1] for r in results),
-        seed=seed,
-        details={"kind": spec.kind, "c": spec.branch.c, "n": spec.branch.n, "tol": tol},
-        witnesses=[w for r in results for w in r[2]][:4],
-    )
+    details = {"kind": spec.kind, "c": spec.branch.c, "n": spec.branch.n, "tol": tol}
+    return _fuzz("positivity", check, trials, seed, threads, details)
 
 
-def duality_fuzz(n, trials, seed, tol=1e-9, forced_singular=100, eps=EPS_SINGULAR, threads=None):
+def duality_fuzz(n, trials, seed, tol=1e-9, eps=EPS_SINGULAR, threads=None):
     """Check phi~(-A) = -phi_lower~(A) on random space-time matrices.
 
-    A fixed fraction of the draws has the first row and column zeroed so
-    both sides exercise the semicontinuous extension formulas.
+    F = min(100, trials // 2) draws (``_FORCED_SINGULAR``) have the first
+    row and column zeroed so both sides exercise the semicontinuous
+    extension formulas; the shard of trials [start, end) zeroes its first
+    floor(F end / trials) - floor(F start / trials) draws.
     """
+    if n < 1:
+        raise ValueError("spatial dimension must be >= 1")
     m = n + 1
-    frac = forced_singular / max(trials, 1)
+    forced = min(_FORCED_SINGULAR, trials // 2)
 
-    def worker(seedseq, size):
-        rng = np.random.default_rng(seedseq)
+    def check(rng, start, size):
         A = sample_hermitian(rng, m, size)
-        k = int(math.ceil(frac * size))
-        if k:
-            A[:k, 0, :] = 0.0
-            A[:k, :, 0] = 0.0
+        k = forced * (start + size) // trials - forced * start // trials
+        A[:k, 0, :] = 0.0
+        A[:k, :, 0] = 0.0
         usc_neg, _ = phi_lifted_usc_batch(-A, eps)
         lsc, _ = phi_lifted_lsc_batch(A, eps)
         err = np.abs(usc_neg + lsc)
-        bad = err > tol
-        wit = [(A[i], float(err[i])) for i in np.nonzero(bad)[0][:2]]
-        return int(np.sum(bad)), float(np.max(err)), k, wit
+        return err > tol, err, lambda i: (A[i], float(err[i])), {"forced_singular": k}
 
-    results = _run_shards(worker, trials, seed, threads)
-    return FuzzReport(
-        suite="duality",
-        trials=trials,
-        violations=sum(r[0] for r in results),
-        worst=max(r[1] for r in results),
-        seed=seed,
-        details={"n": n, "tol": tol, "forced_singular": sum(r[2] for r in results)},
-        witnesses=[w for r in results for w in r[3]][:4],
-    )
+    details = {"n": n, "tol": tol, "forced_singular": 0}
+    return _fuzz("duality", check, trials, seed, threads, details, worst=np.max)

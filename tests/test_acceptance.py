@@ -44,7 +44,7 @@ def test_criterion_1_duality_identity():
         worst = 0.0
         forced = 0
         for n, seed in ((1, 101), (2, 102)):
-            rep = dg.duality_fuzz(n, 5000, seed=seed, tol=1e-9, forced_singular=100)
+            rep = dg.duality_fuzz(n, 5000, seed=seed, tol=1e-9)
             worst = max(worst, rep.worst)
             forced += rep.details["forced_singular"]
             assert rep.violations == 0
@@ -79,7 +79,7 @@ def test_criterion_3_convexity():
             (0.6 * PI, 2, 303),
             (0.9 * PI, 2, 304),
         ):
-            rep = dg.convexity_fuzz(dg.Branch(c=c, n=n), 10000, seed=seed, gap_tol=1e-8)
+            rep = dg.convexity_fuzz(dg.Branch(c=c, n=n), 10000, seed=seed)
             worst = min(worst, rep.worst)
             assert rep.violations == 0, f"c={c}, n={n}"
         neg = dg.convexity_fuzz(

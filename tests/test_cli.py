@@ -81,6 +81,14 @@ class TestAngles:
         assert "non-finite" in err
         assert out == ""
 
+    def test_negative_eps_singular_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "angles", "--matrix", str(CONFIGS / "angles_sample.mat"), "--eps-singular", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps-singular must be >= 0" in err
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -129,6 +137,28 @@ class TestFuzzCommand:
         assert code == 2
         assert out == ""
         assert "trials must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--suite", "duality", "--n", "0"), "spatial dimension must be >= 1"),
+            (("--suite", "positivity", "--threads", "-2"), "threads must be at least 1"),
+            (("--suite", "duality", "--eps-singular", "-1"), "--eps-singular must be >= 0"),
+        ],
+        ids=["n-0", "threads-negative", "eps-negative"],
+    )
+    def test_meaningless_input_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "fuzz", "--trials", "10", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_negative_control_honours_explicit_n(self, capsys):
+        code, out, _ = run(
+            capsys, "fuzz", "--suite", "convexity-negative", "--n", "1", "--trials", "2000"
+        )
+        assert code == 0
+        assert grep(out, "n") == "1"
 
     def test_deterministic_output(self, capsys):
         args = ("fuzz", "--suite", "convexity", "--trials", "1000", "--seed", "7")

@@ -267,6 +267,20 @@ class TestDuality:
         assert rep.worst < 1e-9
         assert rep.details["forced_singular"] >= 100
 
+    @pytest.mark.parametrize("trials", [1, 10, 50, 199, 3000, 4001])
+    def test_forced_singular_count_is_exact(self, monkeypatch, trials):
+        # min(100, trials // 2) draws in all, however the shards split them
+        zeroed = []
+        lsc = subequations.phi_lifted_lsc_batch
+
+        def recording(A, eps):
+            zeroed.append(int(np.sum(np.all(A[:, 0, :] == 0.0, axis=-1))))
+            return lsc(A, eps)
+
+        monkeypatch.setattr(subequations, "phi_lifted_lsc_batch", recording)
+        rep = duality_fuzz(1, trials, seed=5)
+        assert sum(zeroed) == rep.details["forced_singular"] == min(100, trials // 2)
+
     def test_member_band_duality(self):
         # strict interior of the primal at -A forces dual non-membership of A,
         # and primal non-membership of -A forces dual membership of A
@@ -293,7 +307,7 @@ def fixed_round_drawn(branch, trials, seed):
     m = branch.n + 1
     n_shards = math.ceil(trials / subequations._SHARD)
     drawn = 0
-    for i, seedseq in enumerate(subequations._shard_seeds(seed, n_shards)):
+    for i, seedseq in enumerate(np.random.SeedSequence(seed).spawn(n_shards)):
         rng = np.random.default_rng(seedseq)
         need = 2 * min(subequations._SHARD, trials - i * subequations._SHARD)
         while need > 0:
@@ -349,18 +363,30 @@ class TestConvexityFuzz:
         assert rep.details["acceptance_rate"] > 0.5
 
     def test_deterministic_and_thread_invariant(self):
-        def run(branch, threads):
-            rep = convexity_fuzz(
+        def convexity(branch):
+            return lambda threads: convexity_fuzz(
                 branch, 3000, seed=11, allow_out_of_regime=True, threads=threads
             )
-            d = rep.details
-            return rep.worst, rep.violations, d["acceptance_rate"], d["drawn"]
 
-        for branch in (Branch(c=math.pi / 4, n=1), Branch(c=0.6 * math.pi, n=2), NEGATIVE):
-            first = run(branch, None)
-            assert run(branch, None) == first
+        def run(suite, threads):
+            rep = suite(threads)
+            witnesses = [[np.asarray(x).tobytes() for x in w] for w in rep.witnesses]
+            return rep.worst, rep.violations, rep.details, witnesses
+
+        suites = [
+            convexity(Branch(c=math.pi / 4, n=1)),
+            convexity(Branch(c=0.6 * math.pi, n=2)),
+            convexity(NEGATIVE),
+            lambda threads: positivity_fuzz(
+                spacetime_spec(0.75 * math.pi, 2), 4500, seed=11, threads=threads
+            ),
+            lambda threads: duality_fuzz(2, 4500, seed=11, threads=threads),
+        ]
+        for k, suite in enumerate(suites):
+            first = run(suite, None)
+            assert run(suite, None) == first
             for threads in (1, 2, 4):
-                assert run(branch, threads) == first, (branch, threads)
+                assert run(suite, threads) == first, (k, threads)
 
 
 class TestMemberSampler:
@@ -437,7 +463,7 @@ class TestOtherStreams:
         rep = duality_fuzz(2, 3000, seed=17)
         # the identity holds exactly on these draws, so the inputs carry the pin
         assert rep.worst == 0.0
-        assert rep.details["forced_singular"] == 101
+        assert rep.details["forced_singular"] == 100
         assert seen[0][150, 1, 2] == complex(-0.40000748131906483, -0.029700817103563315)
         assert seen[1][-1, 2, 2] == 7.623034880220385
 
