@@ -24,7 +24,9 @@ extensions there are +-pi/2 + theta(A+), where A+ drops the first row
 and column.
 
 Every lift, scalar or batched, evaluates phi from the Schur complement of
-the corner (``linalg.bordered_det``).  Write A = [[a11, a1^*], [a1, A+]];
+the corner (``linalg.bordered_det``), in one core (``_lift``): over arrays
+for a stack, over Python numbers for one 2x2 or 3x3 matrix, which skips
+numpy's fixed per-call cost on tiny arrays.  Write A = [[a11, a1^*], [a1, A+]];
 then
 
     det(I0 + i*A) = det(I + i*A+) * sigma,
@@ -68,6 +70,12 @@ everywhere off S.  The same theta(A+) gives the singular extensions.
 Near S this form stays accurate, while the eigenvalues mu_i of the
 non-normal I0 + i*A lose accuracy; the eigenvalue definition is kept only
 in ``realpart_spectrum_check`` and as the tests' oracle.
+
+Along a Perron ray A - v*diag(d) the lift crosses a level c where
+Im(e^{-ic} det(I0 + i(A - v*diag(d)))) vanishes, a real polynomial in v
+(``_level_roots``).  Up to 3x3 its coefficients come from the principal
+minors of I0 + i*A, with no eigensolve; ``_ray_boundary`` certifies the
+root it picks with two lift evaluations.
 """
 
 from __future__ import annotations
@@ -154,18 +162,24 @@ def _sq_norm(Z):
     return _sq_sum(Z.real) + _sq_sum(Z.imag)
 
 
-def _band(A, scale, eps):
-    """(|a11|, ||a1||, threshold, in band) over a (k, m, m) stack: the band
-    |a11| <= eps*scale and ||a1|| <= eps*scale around S, scale = 1 + ||A||."""
-    a11 = np.abs(A[:, 0, 0].real)
-    a1_norm = np.sqrt(_sq_norm(A[:, 1:, 0]))
-    thr = eps * scale
-    return a11, a1_norm, thr, (a11 <= thr) & (a1_norm <= thr)
-
-
 def _abs2(z):
     """|z|^2 as re^2 + im^2, elementwise over arrays or of a Python number."""
     return z.real * z.real + z.imag * z.imag
+
+
+def _band(E, scale, eps):
+    """(a11, a1, ||a1||, threshold, in band) of the band |a11| <= eps*scale
+    and ||a1|| <= eps*scale around S, scale = 1 + ||A||.
+
+    ``E[i][j]`` is entry (i, j): an array over a stack (``A.transpose(1, 2,
+    0)``) or, for one matrix, a Python number (``A.tolist()``).
+    """
+    a11 = E[0][0].real
+    a1 = [row[0] for row in E[1:]]
+    sq = sum(z.real * z.real for z in a1) + sum(z.imag * z.imag for z in a1)
+    a1_norm = math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+    thr = eps * scale
+    return a11, a1, a1_norm, thr, (abs(a11) <= thr) & (a1_norm <= thr)
 
 
 def _schur_2x2(a11, a1_norm, x, y, p, q, r):
@@ -196,9 +210,12 @@ def _schur_2x2(a11, a1_norm, x, y, p, q, r):
 def _lift(A, scale, eps, sign):
     """(values, singular, theta(A+)) of the usc (sign +1) or lsc (sign -1) lift.
 
-    A is a self-adjoint (k, m, m) stack and scale its 1 + ||A||; see the
-    module docstring.  No eigensolver runs for a 1x1 or 2x2 spatial block
-    A+.  A 1x1 block is its own eigenvalue with eigenvector 1, so the
+    A is a self-adjoint (k, m, m) stack and scale its 1 + ||A||, or one
+    2 x 2 or 3 x 3 matrix as nested lists of Python numbers
+    (``A.tolist()``) and its scale as a float; the arithmetic is the same
+    for both, and Python numbers skip numpy's per-call cost on one matrix.
+    See the module docstring.  No eigensolver runs for a 1x1 or 2x2 spatial
+    block A+.  A 1x1 block is its own eigenvalue with eigenvector 1, so the
     eigensolve's arithmetic is kept and gives the same bits.  A 2x2 block
     goes through ``_schur_2x2``: theta(A+) = atan2(tr, 1 - det) is exact for
     two eigenvalues, and sigma is divided by |det(I + i*A+)| >= 1 twice
@@ -206,52 +223,64 @@ def _lift(A, scale, eps, sign):
     larger block takes one batched ``np.linalg.eigh``.  The singular mask is
     the band of ``_band`` plus the points where sigma vanishes numerically.
     """
-    a11 = A[:, 0, 0].real
-    _, a1_norm, _, singular = _band(A, scale, eps)
-    if A.shape[-1] == 3:
-        parts = (
-            a11, a1_norm, A[:, 1, 0], A[:, 2, 0], A[:, 1, 1].real, A[:, 2, 2].real, A[:, 2, 1]
+    one = isinstance(A, list)
+    E = A if one else A.transpose(1, 2, 0)
+    m = len(E)
+    a11, a1, a1_norm, _, singular = _band(E, scale, eps)
+    if m == 3:
+        re_sigma, im_sigma, theta_plus = _schur_2x2(
+            a11, a1_norm, a1[0], a1[1], E[1][1].real, E[2][2].real, E[2][1]
         )
-        if A.shape[0] == 1:
-            # one matrix: Python numbers skip numpy's per-call overhead
-            parts = [v.item() for v in parts]
-        re_sigma, im_sigma, theta_plus = _schur_2x2(*parts)
-        theta_plus = np.atleast_1d(theta_plus)
     else:
-        if A.shape[-1] == 2:  # eigenvalue a22, eigenvector 1
-            lam = A[:, 1:, 1].real
-            p = A[:, 1:, 0]
+        if m == 2:  # eigenvalue a22, eigenvector 1
+            lam, p = E[1][1].real, a1[0]
         else:
             lam, V = np.linalg.eigh(A[:, 1:, 1:])
             p = np.matmul(np.conj(A[:, None, 1:, 0]), V)[:, 0, :]
-        w = np.square(p.real) + np.square(p.imag)
-        d = 1.0 / (1.0 + lam * lam)
-        wd = w * d
-        re_sigma = np.sum(wd, axis=-1)
-        im_sigma = a11 - np.sum(wd * lam, axis=-1)
-        theta_plus = np.sum(np.arctan(lam), axis=-1)
-    singular |= np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale
-    vals = theta_plus + np.where(
-        singular, sign * 0.5 * math.pi, np.arctan2(im_sigma, re_sigma)
-    )
-    return vals, singular, theta_plus
+        wd = _abs2(p) * (1.0 / (1.0 + lam * lam))
+        parts = (wd, wd * lam, np.arctan(lam))
+        if m != 2:  # sum over the eigensolve's eigenvalues
+            parts = [np.sum(x, axis=-1) for x in parts]
+        re_sigma, im_wd, theta_plus = parts
+        im_sigma = a11 - im_wd
+    singular = singular | (np.hypot(re_sigma, im_sigma) < _TINY_EIG * scale)
+    half = sign * 0.5 * math.pi
+    if one:
+        tail = half if singular else np.arctan2(im_sigma, re_sigma)
+    else:
+        tail = np.where(singular, half, np.arctan2(im_sigma, re_sigma))
+    return theta_plus + tail, singular, theta_plus
+
+
+def _entries(A):
+    """One matrix as nested lists of Python complex numbers, and its 1 + ||A||."""
+    E = A.tolist()
+    return E, 1.0 + math.sqrt(sum(_abs2(z) for row in E for z in row))
 
 
 def classify_singular(A, eps=EPS_SINGULAR):
     """Membership in the band |a11| <= eps*(1+||A||) and ||a1|| <= eps*(1+||A||)."""
-    A = check_hermitian(A, name="A")
-    a11, a1_norm, thr, in_band = _band(A[None], 1.0 + float(np.linalg.norm(A)), eps)
+    E, scale = _entries(check_hermitian(A, name="A"))
+    a11, _, a1_norm, thr, in_band = _band(E, scale, eps)
     return SingularityReport(
-        in_S=bool(in_band[0]), a11=float(a11[0]), a1_norm=float(a1_norm[0]), threshold=thr
+        in_S=bool(in_band), a11=abs(a11), a1_norm=float(a1_norm), threshold=thr
     )
 
 
 def _lift_one(A, eps, sign):
-    """(LiftedAngle, theta(A+)) of one matrix, validated once, lifted as a stack of one."""
+    """(LiftedAngle, theta(A+)) of one matrix, validated once.
+
+    A 2 x 2 or 3 x 3 matrix is lifted as Python numbers; any other (only
+    the API reaches them) as a stack of one, for the eigensolve of A+.
+    """
     A = check_hermitian(A, name="A")
-    vals, singular, theta_plus = _lift(A[None], 1.0 + float(np.linalg.norm(A)), eps, sign)
+    E, scale = _entries(A)
+    if len(E) in (2, 3):
+        value, singular, theta_plus = _lift(E, scale, eps, sign)
+    else:
+        value, singular, theta_plus = (x[0] for x in _lift(A[None], scale, eps, sign))
     tag = SINGULAR_UPPER if sign > 0 else SINGULAR_LOWER
-    return LiftedAngle(float(vals[0]), tag if singular[0] else REGULAR), float(theta_plus[0])
+    return LiftedAngle(float(value), tag if singular else REGULAR), float(theta_plus)
 
 
 def phi_regular(A):
@@ -280,39 +309,96 @@ def phi_lifted_lsc(A, eps=EPS_SINGULAR):
     return _lift_one(A, eps, -1)[0]
 
 
+def _det_coeffs(B, d):
+    """Coefficients of det(B - i v diag(d)) in v, highest power first, for B of
+    at most 3 x 3 (nested lists): the v^j coefficient is (-i)^j times the sum,
+    over the index sets S of size j, of prod(d[S]) times the principal minor
+    of B off S."""
+    if len(B) == 1:
+        return [-1j * d[0], B[0][0]]
+    if len(B) == 2:
+        (a, b), (e, f) = B
+        d0, d1 = d
+        return [-d0 * d1, -1j * (d0 * f + d1 * a), a * f - b * e]
+    (a, b, c), (e, f, g), (h, k, l) = B
+    d0, d1, d2 = d
+    m01, m02, m12 = a * f - b * e, a * l - c * h, f * l - g * k
+    det = a * m12 - b * (e * l - g * h) + c * (e * k - f * h)
+    return [
+        1j * (d0 * d1 * d2),
+        -(d0 * d1 * l + d0 * d2 * f + d1 * d2 * a),
+        -1j * (d0 * m12 + d1 * m02 + d2 * m01),
+        det,
+    ]
+
+
 def _level_roots(A, d, c, spatial):
     """Ascending real parts of the roots of q(v) = Im(e^{-ic} det(I0 + i(A - v diag(d)))).
 
-    I0 is the identity for spatial data, diag(0, 1, ..., 1) otherwise.  With
-    M = diag(d)^{-1} (A - i I0), I0 + i(A - v diag(d)) = -i diag(d) (v - M), so
-    q(v) = prod(d) Im(e^{-i(c + m pi/2)} prod_k (v - kappa_k)) over the
-    eigenvalues kappa of M: a real polynomial of degree m.  Off S,
-    det = |det| e^{i phi~}, so q vanishes where phi~ crosses a level c + k pi;
-    on S det vanishes, and there the lift jumps down by pi over one level.
-    phi~ falls from m pi/2 to -m pi/2 along the ray and passes each of the m
-    levels in that range once, so every root is real and rounding only adds
-    imaginary noise.
+    I0 is the identity for spatial data, diag(0, 1, ..., 1) otherwise.  q is
+    a real polynomial of degree m.  Off S, det = |det| e^{i phi~}, so q
+    vanishes where phi~ crosses a level c + k pi; on S det vanishes, and
+    there the lift jumps down by pi over one level.  phi~ falls from m pi/2
+    to -m pi/2 along the ray and passes each of the m levels in that range
+    once, so every root is real and rounding only adds imaginary noise.
+
+    Up to 3 x 3 the coefficients of det come from the principal minors of
+    I0 + iA (``_det_coeffs``).  A larger matrix (only the API reaches it)
+    takes the eigenvalues kappa of M = diag(d)^{-1} (A - i I0): then
+    I0 + i(A - v diag(d)) = -i diag(d) (v - M), and det is
+    (-i)^m prod(d) prod_k (v - kappa_k).
     """
     m = A.shape[0]
-    i0 = np.ones(m)
+    I0 = np.eye(m)
     if not spatial:
-        i0[0] = 0.0
-    kappa = np.linalg.eigvals((A - 1j * np.diag(i0)) / d[:, None])
-    coef = np.imag(np.exp(-1j * (c + 0.5 * m * math.pi)) * np.poly(kappa))
-    return np.sort(np.roots(coef).real)
+        I0[0, 0] = 0.0
+    if m <= 3:
+        coef = np.array(_det_coeffs((I0 + 1j * A).tolist(), d.tolist()))
+    else:
+        kappa = np.linalg.eigvals((A - 1j * I0) / d[:, None])
+        coef = (-1j) ** m * np.prod(d) * np.poly(kappa)
+    return np.sort(np.roots(np.imag(np.exp(-1j * c) * coef)).real)
 
 
-def _ray_boundary(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False):
+def _probe(angle, c, r, tol, lo, hi):
+    """(lo, hi) narrowed by evaluating r -+ tol/2, a pair at most tol wide,
+    where it lies inside the bracket."""
+    low = r - 0.5 * tol
+    high = low + tol
+    if high - low > tol:  # low + tol rounded up
+        high = math.nextafter(high, low)
+    for v in (low, high):
+        if lo < v < hi:
+            if angle(v) >= c:
+                lo = v
+            else:
+                hi = v
+    return lo, hi
+
+
+def _band_edge(A, d, v, eps):
+    """Upper end of the singular band along A - v' diag(d) when v lies in the
+    band, else None.  Along the ray only the corner moves, a11(v') = a11(v)
+    - (v' - v) d[0]; the band ends where it reaches -eps*(1 + ||A||)."""
+    E, scale = _entries(A - v * np.diag(d))
+    a11, _, _, thr, in_band = _band(E, scale, eps)
+    return v + (a11 + thr) / d[0] if in_band else None
+
+
+def _ray_boundary(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False, eps=EPS_SINGULAR):
     """Largest evaluated member of {v : angle(v) >= c} along A - v diag(d), d > 0.
 
     ``angle(v)`` evaluates the lifted angle (theta with ``spatial``) of
-    A - v diag(d), which does not increase in v.  On entry angle(lo) =
-    phi_lo >= c and angle(hi) < c.  The crossing of c is a root of the
-    polynomial of ``_level_roots``: among the roots in (lo, hi), one is
-    passed first for each level c + k pi (k >= 1) below phi_lo; in the
-    convexity regime there is none, and the crossing is the smallest root.
-    Two evaluations at r -+ tol/2 certify it.  When they do not bracket the
-    boundary (on or near S, or a root off by more than tol/2), bisection
+    A - v diag(d) with band width ``eps``, which does not increase in v.  On
+    entry angle(lo) = phi_lo >= c and angle(hi) < c.  The crossing of c is
+    a root of the polynomial of ``_level_roots``: among the roots in
+    (lo, hi), one is passed first for each level c + k pi (k >= 1) below
+    phi_lo; in the convexity regime there is none, and the crossing is the
+    smallest root.  Two evaluations at r -+ tol/2 certify it.  Where the
+    ray meets S, the lift keeps its upper extension across the singular
+    band, so when both probes land in the band the crossing is the band's
+    upper edge, and two more evaluations there certify it.  When the probes
+    do not bracket the boundary (a root off by more than tol/2), bisection
     goes on from the bracket they narrowed.  Either way the returned v has
     angle(v) >= c evaluated and a value at most tol above it evaluated < c.
     """
@@ -320,16 +406,10 @@ def _ray_boundary(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False):
     roots = _level_roots(A, d, c, spatial)
     roots = roots[(roots > lo) & (roots < hi)]
     if len(roots) > skip:
-        low = roots[skip] - 0.5 * tol
-        high = low + tol
-        if high - low > tol:  # low + tol rounded up
-            high = math.nextafter(high, low)
-        for v in (low, high):
-            if lo < v < hi:
-                if angle(v) >= c:
-                    lo = v
-                else:
-                    hi = v
+        lo, hi = _probe(angle, c, roots[skip], tol, lo, hi)
+        edge = None if spatial or hi - lo <= tol else _band_edge(A, d, lo, eps)
+        if edge is not None:
+            lo, hi = _probe(angle, c, edge, tol, lo, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if angle(mid) >= c:

@@ -42,12 +42,16 @@ def _as_square(M, name="matrix", cap=SPACETIME_DIM_CAP):
     return M
 
 
+def _norm(M):
+    """||M||_F from one BLAS dot, which raises no numpy floating-point warning:
+    an overflow shows as a non-finite result."""
+    return math.sqrt(np.vdot(M, M).real)
+
+
 def _finite_norm(M, name):
     """||M||_F; ValueError when it is not finite (a nan or inf entry, or overflow),
-    since every relative tolerance here is measured against it.  Overflow is
-    reported by the error, not by a numpy warning."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(M))
+    since every relative tolerance here is measured against it."""
+    norm = _norm(M)
     if not math.isfinite(norm):
         raise ValueError(f"{name} has a non-finite entry or norm")
     return norm
@@ -57,13 +61,14 @@ def check_hermitian(H, tol=HERM_TOL, name="H", cap=SPACETIME_DIM_CAP):
     """Validate finiteness and self-adjointness to ``tol * max(1, ||H||_F)``;
     return H as complex."""
     H = _as_square(H, name, cap).astype(complex)
+    adjoint = H.conj().T
     scale = max(1.0, _finite_norm(H, name))
-    defect = float(np.linalg.norm(H - H.conj().T))
+    defect = _norm(H - adjoint)
     if defect > tol * scale:
         raise ValueError(
             f"{name} is not self-adjoint: defect {defect:.3e} exceeds {tol * scale:.3e}"
         )
-    return 0.5 * (H + H.conj().T)
+    return 0.5 * (H + adjoint)
 
 
 def check_symmetric(N, tol=HERM_TOL, name="N"):

@@ -200,6 +200,7 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
         phi_lo,
         bisect_tol,
         spatial=spec.space == SPATIAL,
+        eps=eps,
     )
 
 

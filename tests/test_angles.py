@@ -216,9 +216,13 @@ class TestLiftedExtensions:
             assert theta(A + P) >= theta(A) - 1e-10
 
     def test_batch_matches_scalar(self):
+        # One 2x2 or 3x3 matrix is lifted on Python numbers, any other as a
+        # stack of one.  With a 1x1 spatial block the arithmetic is the
+        # batch's bit for bit; with a 2x2 block numpy's vectorized complex
+        # products may round differently in the last bit.
         rng = np.random.default_rng(19)
         scales = (0.1, 1.0, 10.0)
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             A = np.stack(
                 [random_spacetime(rng, n, scale=scales[k % 3]) for k in range(300)]
             )
@@ -230,6 +234,33 @@ class TestLiftedExtensions:
                 assert vals[k] == pytest.approx(phi_lifted_usc(A[k]).value, abs=1e-12)
                 assert lvals[k] == pytest.approx(phi_lifted_lsc(A[k]).value, abs=1e-12)
             assert singular[:30].all() and not singular[30:].any()
+        for n, gap in ((1, 0.0), (2, 1e-15)):
+            m = n + 1
+            draws = np.random.default_rng(7)
+            X = draws.standard_normal((2000, m, m)) + 1j * draws.standard_normal((2000, m, m))
+            G = 0.5 * (X + X.conj().swapaxes(-2, -1))
+            # first row and column at 1e-9 (outside the band) down to 1e-11
+            near = G.copy()
+            amp = np.array([1e-9, 3e-10, 1e-10, 1e-11])[np.arange(2000) % 4]
+            near[:, 0, :] *= amp[:, None]
+            near[:, 1:, 0] *= amp[:, None]
+            for A in (G, near, 1e100 * G):
+                for fn, batch in ((phi_lifted_usc, phi_lifted_usc_batch),
+                                  (phi_lifted_lsc, phi_lifted_lsc_batch)):
+                    vals, singular = batch(A)
+                    lifted = [fn(a) for a in A]
+                    assert np.max(np.abs(vals - [x.value for x in lifted])) <= gap
+                    assert np.array_equal(singular, [not x.regular for x in lifted])
+            assert 0 < np.sum(phi_lifted_usc_batch(near)[1]) < 2000
+        bad = random_spacetime(rng, 2)
+        bad[0, 1] += 1e-6  # not self-adjoint
+        for fn in (phi_lifted_usc, phi_lifted_lsc, phi_regular, slice_angle_gap):
+            with pytest.raises(ValueError, match="A is not self-adjoint: defect 1.414e-06 exceeds"):
+                fn(bad)
+        on_S = random_spacetime(rng, 2)
+        on_S[0, :] = on_S[:, 0] = 0.0
+        with pytest.raises(angles.DegenerateAngleError):
+            phi_regular(on_S)
 
     @pytest.mark.parametrize("amp", [1e-2, 1e-4, 1e-6])
     def test_batch_near_singular_diagonal_block(self, amp):
@@ -525,7 +556,7 @@ class TestUscConsistency:
             assert errs[2] < 1e-5
 
 
-def plain_bisection(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False):
+def plain_bisection(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False, eps=None):
     """Reference for _ray_boundary: bisection alone, same contract."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -569,7 +600,7 @@ class TestRayBoundary:
     def test_roots_are_the_level_crossings(self):
         # every root of q is real and phi~ sits on a level c + k pi there
         rng = np.random.default_rng(27)
-        for m in (2, 3):
+        for m in (2, 3, 4):
             H0 = random_spacetime(rng, m - 1)
             d = rng.uniform(0.5, 2.0, m)
             c = (m - 1.5) * math.pi / 2
@@ -579,12 +610,30 @@ class TestRayBoundary:
                 k = (phi_lifted_usc(H0 - (r - 1e-7) * np.diag(d)).value - c) / math.pi
                 assert abs(k - round(k)) < 1e-5
 
+    @pytest.mark.parametrize("spatial", [False, True])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_closed_form_coefficients(self, m, spatial):
+        # up to 3 x 3 the coefficients of det(I0 + i(A - v diag(d))) come
+        # from principal minors; the reference expands the eigenvalues of
+        # diag(d)^{-1} (A - i I0), as matrices from 4 x 4 up do
+        rng = np.random.default_rng(30 + m)
+        I0 = np.eye(m)
+        if not spatial:
+            I0[0, 0] = 0.0
+        for k in range(300):
+            A = random_hermitian(rng, m, (0.1, 1.0, 10.0)[k % 3])
+            d = rng.uniform(0.1, 300.0, m)
+            kappa = np.linalg.eigvals((A - 1j * I0) / d[:, None])
+            ref = (-1j) ** m * np.prod(d) * np.poly(kappa)
+            coef = np.array(angles._det_coeffs((I0 + 1j * A).tolist(), d.tolist()))
+            assert np.max(np.abs(coef - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("b", [0.0, 1e-11, 1e-6])
     @pytest.mark.parametrize("d", [(1.0, 1.0), (266.0, 64.0)], ids=["unit", "grid"])
     def test_near_singular_set(self, b, d):
         # with b = 0 the ray meets S where its corner vanishes; with a unit
-        # diagonal the probes then fall inside the singular band and
-        # bisection finishes from the bracket they narrowed
+        # diagonal the probes then fall inside the singular band, and two
+        # more at the band's upper edge certify the boundary
         d = np.array(d)
         H0 = np.array([[0.3, b * np.exp(-0.7j)], [b * np.exp(0.7j), 2.0]])
         c = 1.2
@@ -599,8 +648,8 @@ class TestRayBoundary:
         evals[0] = 0
         tol = 1e-10
         v = _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, tol)
-        fallback = b < 1e-10 and d[0] == 1.0
-        assert (evals[0] > 2) == fallback
+        in_band = b < 1e-10 and d[0] == 1.0
+        assert (2 < evals[0] <= 5) if in_band else (evals[0] <= 2)
         ref = plain_bisection(angle, H0, d, c, lo, hi, phi_lo, tol)
         assert abs(v - ref) <= tol
         assert angle(v) >= c and angle(v + tol) < c

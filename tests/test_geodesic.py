@@ -29,7 +29,14 @@ from dhymgeo.geodesic import (
 )
 from dhymgeo.geometry import TorusGeometry, angle_field, complex_hessian, select_branch
 from dhymgeo.angles import phi_lifted_usc
-from dhymgeo.subequations import Branch, SPACETIME, SubeqSpec, strict_margin
+from dhymgeo.subequations import (
+    Branch,
+    SPACETIME,
+    SubeqSpec,
+    member,
+    sample_hermitian,
+    strict_margin,
+)
 
 from test_angles import plain_bisection
 
@@ -455,6 +462,36 @@ class TestPerronRoot:
             W = U.copy()
             W[(it,) + ix] = v + shift
             assert (phi_lifted_usc(assemble_jet(pb, W, it, ix).matrix()).value >= c) == expect
+
+    def test_pointwise_certificates(self):
+        # the pointwise benchmark's check at 32 seeded points of one n = 2
+        # grid: each update is evaluated admissible at v - tol and not at
+        # v + 2 tol, and each strict margin certifies its ball
+        pb = psi_problem(2, nt=5)
+        U, bars = random_grid(pb, 64)
+        rng = np.random.default_rng(64)
+        c, tol = pb.branch.c, pb.bisect_tol
+        spec = SubeqSpec(space=SPACETIME, branch=pb.branch)
+        eye = np.eye(3)
+        shifts = math.tan(c / 3) * rng.uniform(0.6, 1.8, 32)
+        matrices = sample_hermitian(rng, 3, 32) + shifts[:, None, None] * eye
+        certified = 0
+        for A in matrices:
+            it = int(rng.integers(1, pb.nt - 1))
+            ix = tuple(int(i) for i in rng.integers(0, 8, 4))
+            v = perron_update(pb, U, it, ix, bars.lower, bars.upper)
+            for shift, expect in ((-tol, True), (2 * tol, False)):
+                W = U.copy()
+                W[(it,) + ix] = v + shift
+                assert (phi_lifted_usc(assemble_jet(pb, W, it, ix).matrix()).value >= c) == expect
+            margin = strict_margin(spec, A)
+            if margin is None:
+                assert not member(spec, A)
+                continue
+            certified += 1
+            assert member(spec, A - margin * eye)
+            assert not member(spec, A - (margin + 2e-10) * eye)
+        assert certified >= 8
 
     def test_four_angle_evaluations(self):
         for pb in (small_problem(), psi_problem(2, nt=5)):

@@ -226,13 +226,14 @@ class TestStrictMarginRoot:
     @pytest.mark.parametrize("b", [0.0, 1e-11])
     def test_near_singular_set(self, b):
         # A - t Id meets the singular band at t = 0.3: the probes land
-        # inside it and bisection finishes from the narrowed bracket
+        # inside it, and two more at the band's upper edge certify it
         spec = spacetime_spec(1.2, 1)
         A = np.array([[0.3, b * np.exp(-0.4j)], [b * np.exp(0.4j), 2.0]])
         m, ref = margin_and_reference(spec, A)
         assert abs(m - ref) <= 1e-10
         assert_certified(spec, A, m)
         assert m == pytest.approx(0.3, abs=1e-8)
+        assert probe_count(spec, A) == 4
 
     def test_wrong_root_still_certified(self):
         true_roots = angles._level_roots
