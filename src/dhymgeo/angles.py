@@ -357,7 +357,24 @@ def _level_roots(A, d, c, spatial):
     else:
         kappa = np.linalg.eigvals((A - 1j * I0) / d[:, None])
         coef = (-1j) ** m * np.prod(d) * np.poly(kappa)
-    return np.sort(np.roots(np.imag(np.exp(-1j * c) * coef)).real)
+    return _real_roots(np.imag(np.exp(-1j * c) * coef))
+
+
+def _real_roots(q):
+    """np.sort(np.roots(q).real) for real coefficients q, highest power first,
+    with np.roots' own steps and less of its per-call cost: leading and
+    trailing zero coefficients are trimmed, each trailing one a root at 0, and
+    the other roots are the eigenvalues of the companion matrix."""
+    q = q.tolist()
+    nonzero = [i for i, x in enumerate(q) if x != 0.0]
+    if not nonzero:
+        return np.array([])
+    p = q[nonzero[0] : nonzero[-1] + 1]
+    A = np.eye(len(p) - 1, k=-1)
+    if len(p) > 1:
+        A[0] = [-x / p[0] for x in p[1:]]
+    roots = np.linalg.eigvals(A).real
+    return np.sort(np.concatenate((roots, np.zeros(len(q) - 1 - nonzero[-1]))))
 
 
 def _probe(angle, c, r, tol, lo, hi):

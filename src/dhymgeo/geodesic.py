@@ -107,12 +107,19 @@ import numpy as np
 from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import (
+    _Point,
+    _central,
+    _grid_index,
     _hessian,
+    _hessian_entries,
+    _integer,
+    _second,
+    _stencil_reads,
+    _zderiv,
+    _zderiv_entry,
     angle_field,
     h_membership,
     lambda_endo,
-    _zderiv,
-    neighbourhood,
 )
 from .linalg import check_hermitian
 from .subequations import Branch
@@ -283,15 +290,13 @@ def _check_grid(problem, U):
     return U
 
 
-def _spacetime_matrices(problem, U, psi):
-    """Space-time matrices of U's interior t rows, one per point.  U's axes after
-    t are periodic grid axes or 3-wide patches of them, and ``psi`` is
-    psi_alpha on the same axes (or None)."""
+def _spacetime_matrices(problem, U):
+    """Space-time matrices of U's interior t rows, one per point."""
     geom, n, ht = problem.geom, problem.geom.n, problem.ht
-    mid = U[1:-1]
-    udot = (U[2:] - U[:-2]) / (2.0 * ht)
+    mid, psi = U[1:-1], geom.psi_alpha
+    udot = _central(U[2:], U[:-2], ht)
     H = np.empty(mid.shape + (n + 1, n + 1), dtype=complex)
-    H[..., 0, 0] = (U[2:] - 2.0 * mid + U[:-2]) / (ht * ht)
+    H[..., 0, 0] = _second(U[2:], mid, U[:-2], ht)
     for j in range(n):
         b = _zderiv(geom, udot, j)
         H[..., 1 + j, 0] = b
@@ -300,23 +305,40 @@ def _spacetime_matrices(problem, U, psi):
     return H
 
 
+def _point(problem, it, ix):
+    """(it, ix) of an interior space-time grid point as ints, checked: it
+    in (0, nt - 1) and ix a grid index (``geometry._grid_index``)."""
+    it = _integer(it, "the t index")
+    if not 0 < it < problem.nt - 1:
+        raise PreconditionError("jet assembly needs an interior t index")
+    return it, _grid_index(problem.geom, ix)
+
+
 def assemble_jet(problem, U, it, ix):
     """SpaceTimeJet at interior t-index ``it`` and spatial multi-index ``ix``.
 
-    Runs ``interior_jets``' assembly on the point's periodic 3-wide patch,
-    3^(k+1) values for k grid axes, and keeps its centre: on the patch the
-    periodic differences reach the point's true neighbours, so the jet
-    equals the point's row of ``interior_jets`` bitwise.
+    Reads only the values the stencils reach, U on rows it - 1, it, it + 1
+    (and psi_alpha) at the point, its axis neighbours and its diagonal
+    neighbours in each pair of axes, as Python numbers, and runs the
+    geometry stencil formulas ``interior_jets`` runs on rolled arrays, in
+    the same order: the jet equals the point's row of ``interior_jets``
+    bitwise.
     """
     U = _check_grid(problem, U)
-    if not (0 < it < problem.nt - 1):
-        raise PreconditionError("jet assembly needs an interior t index")
-    geom = problem.geom
-    index = neighbourhood(geom, ix)
-    psi = None if geom.psi_alpha is None else geom.psi_alpha[index]
-    W = U[it - 1 : it + 2][(slice(None),) + index]
-    H = _spacetime_matrices(problem, W, psi)[(0,) + (1,) * len(geom.grid)]
-    return SpaceTimeJet(udotdot=float(H[0, 0].real), b=H[1:, 0], spatial=H[1:, 1:])
+    it, ix = _point(problem, it, ix)
+    geom, ht = problem.geom, problem.ht
+    column, flat = _stencil_reads(geom, ix)
+    rows = U[it - 1 : it + 2].reshape(3, -1)[:, flat]
+    pot = rows[1] if geom.psi_alpha is None else geom.psi_alpha.reshape(-1)[flat] + rows[1]
+    (dn, mid, up), pot = rows.tolist(), pot.tolist()
+    udot = _Point(lambda s: _central(up[column[s]], dn[column[s]], ht))
+    b = [_zderiv_entry(geom, udot, j) for j in range(geom.n)]
+    hessian = _hessian_entries(geom, _Point(lambda s: pot[column[s]]))
+    return SpaceTimeJet(
+        udotdot=_second(up[0], mid[0], dn[0], ht),
+        b=np.array(b, dtype=complex),
+        spatial=geom.alpha0 + np.array(hessian, dtype=complex),
+    )
 
 
 def harmonic_residual(jet, c):
@@ -358,8 +380,8 @@ def perron_update(problem, U, it, ix, lower=None, upper=None):
     it evaluated inadmissible.
     """
     c = problem.branch.c
+    it, ix = _point(problem, it, ix)
     jet = assemble_jet(problem, U, it, ix)
-    ix = tuple(int(i) for i in np.atleast_1d(ix))
     a, gs = _center_coeffs(problem)
     d = np.concatenate(([a], gs))
     D = np.diag(d).astype(complex)
@@ -646,9 +668,10 @@ def interior_jets(problem, U):
     """Assembled space-time matrices of every interior point, flattened.
 
     Returns (H, shape) with H of shape (count, n+1, n+1) and shape =
-    (nt - 2,) + grid, from one call of the assembly ``assemble_jet`` shares.
+    (nt - 2,) + grid.  The geometry stencil formulas run on rolled arrays,
+    the ones ``assemble_jet`` runs on one point's numbers.
     """
-    H = _spacetime_matrices(problem, _check_grid(problem, U), problem.geom.psi_alpha)
+    H = _spacetime_matrices(problem, _check_grid(problem, U))
     return H.reshape((-1,) + H.shape[-2:]), H.shape[:-2]
 
 

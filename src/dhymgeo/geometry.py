@@ -21,7 +21,9 @@ geodesic solver uses for convergence studies.
 
 The operators take the grid axes last and treat any leading axes as batch
 axes, so a stack of fields, such as the interior t slices of a space-time
-grid, goes through one call.
+grid, goes through one call.  Their stencil formulas also run on the
+neighbour values of one point as Python numbers (``_Point``), which is how
+``geodesic.assemble_jet`` builds one jet.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,47 +125,115 @@ def _roll_index(g, shift):
 
 
 def _roll(u, shift, axis):
-    """``np.roll(u, shift, axis)`` as one gather, which costs a twentieth of
-    np.roll on a 3^k patch and a third on an 8^4 grid."""
+    """``np.roll(u, shift, axis)`` as one gather, which costs a third of
+    np.roll on an 8^4 grid."""
     return u.take(_roll_index(u.shape[axis], shift), axis=axis)
 
 
-def _d2(u, axis, h):
-    return (_roll(u, -1, axis) - 2.0 * u + _roll(u, 1, axis)) / (h * h)
+def _central(up, dn, h):
+    """Central first difference from the values one step up and one step down."""
+    return (up - dn) / (2.0 * h)
 
 
-def _d1(u, axis, h):
-    return (_roll(u, -1, axis) - _roll(u, 1, axis)) / (2.0 * h)
+def _second(up, mid, dn, h):
+    """Central second difference from the values one step up, at and one step down."""
+    return (up - 2.0 * mid + dn) / (h * h)
+
+
+class _Reader:
+    """How the stencil formulas read a field: at(*steps) is the field moved by
+    the (grid axis, +-1) steps, and at.central(axis, h) reads its central
+    difference along the axis.  ``_Grid`` reads a whole field as rolled
+    arrays, ``_Point`` one point of it as Python numbers; the formulas run
+    unchanged on both, so a point's entries equal the field's there bit for
+    bit."""
+
+    def central(self, axis, h):
+        # made once per axis: the mixed derivatives along it share it
+        if axis not in self.centrals:
+            self.centrals[axis] = self._difference(axis, h)
+        return self.centrals[axis]
+
+
+class _Grid(_Reader):
+    """Reader of a field whose last ``ndim`` axes are grid axes, periodically."""
+
+    def __init__(self, u, ndim):
+        self.u, self.ndim, self.centrals = u, ndim, {}
+
+    def __call__(self, *steps):
+        u = self.u
+        for axis, s in steps:
+            u = _roll(u, -s, axis - self.ndim)
+        return u
+
+    def _difference(self, axis, h):
+        return _Grid(_central(self((axis, 1)), self((axis, -1)), h), self.ndim)
+
+
+class _Point(_Reader):
+    """Reader of a field at one grid point: value(steps) is the number at the
+    point moved by the steps."""
+
+    def __init__(self, value):
+        self.value, self.centrals = value, {}
+
+    def __call__(self, *steps):
+        return self.value(steps)
+
+    def _difference(self, axis, h):
+        value, up, dn = self.value, ((axis, 1),), ((axis, -1),)
+        return _Point(lambda steps: _central(value(up + steps), value(dn + steps), h))
+
+
+def _second_derivative(at, h, a, b):
+    """Central second derivative along grid axes a and b: the second difference
+    for a == b, else the central difference along b of the one along a.  None
+    is a y axis absent in reduced mode, contributing zero."""
+    if a is None or b is None:
+        return 0.0
+    if a == b:
+        return _second(at((a, 1)), at(), at((a, -1)), h[a])
+    first = at.central(a, h[a])
+    return _central(first((b, 1)), first((b, -1)), h[b])
+
+
+def _hessian_entries(geom, at):
+    """Entries [[H_jk]] of the complex Hessian of the field read by ``at``,
+    symmetrized so downstream spectral calls see exact Hermitian data."""
+    n, h = geom.n, geom.spacings
+
+    def entry(j, k):
+        xj, yj, xk, yk = geom.x_axis(j), geom.y_axis(j), geom.x_axis(k), geom.y_axis(k)
+        xx = _second_derivative(at, h, xj, xk)
+        yy = _second_derivative(at, h, yj, yk)
+        xy = _second_derivative(at, h, xj, yk)
+        yx = _second_derivative(at, h, yj, xk)
+        return 0.25 * (xx + yy) + 0.25j * (xy - yx)
+
+    H = [[entry(j, k) for k in range(n)] for j in range(n)]
+    return [[0.5 * (H[j][k] + H[k][j].conjugate()) for k in range(n)] for j in range(n)]
+
+
+def _zderiv_entry(geom, at, j):
+    """(d/dx_j - i d/dy_j)/2 of the field read by ``at``."""
+    h = geom.spacings
+    xa, ya = geom.x_axis(j), geom.y_axis(j)
+    dx = _central(at((xa, 1)), at((xa, -1)), h[xa])
+    if ya is None:  # reduced mode; complex for arrays and numbers alike
+        return (0.5 + 0j) * dx
+    return 0.5 * (dx - 1j * _central(at((ya, 1)), at((ya, -1)), h[ya]))
 
 
 def _hessian(geom, u):
-    """``complex_hessian`` of a field whose last axes are grid axes or periodic
-    patches of them, the differences taken periodically along each."""
+    """``complex_hessian`` of a float field whose last axes are grid axes."""
     n = geom.n
-    h = geom.spacings
-    ndim = len(geom.grid)  # grid axis a is array axis a - ndim (k is a loop index)
-    first = {}
-
-    def second(a, b):
-        # central second derivative along grid axes a, b; None is a y axis
-        # absent in reduced mode, contributing zero
-        if a is None or b is None:
-            return 0.0
-        if a == b:
-            return _d2(u, a - ndim, h[a])
-        if a not in first:
-            first[a] = _d1(u, a - ndim, h[a])
-        return _d1(first[a], b - ndim, h[b])
-
-    out = np.zeros(np.shape(u) + (n, n), dtype=complex)
+    H = _hessian_entries(geom, _Grid(u, len(geom.grid)))
+    out = np.empty(np.shape(u) + (n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            xx = second(geom.x_axis(j), geom.x_axis(k))
-            yy = second(geom.y_axis(j), geom.y_axis(k))
-            xy = second(geom.x_axis(j), geom.y_axis(k))
-            yx = second(geom.y_axis(j), geom.x_axis(k))
-            out[..., j, k] = 0.25 * (xx + yy) + 0.25j * (xy - yx)
-    return 0.5 * (out + np.conj(np.swapaxes(out, -2, -1)))
+            out[..., j, k] = H[j][k]
+    return out
 
 
 def complex_hessian(geom, u):
@@ -186,14 +257,8 @@ def zderiv(geom, u, j):
 
 
 def _zderiv(geom, u, j):
-    """``zderiv`` of a float field whose last axes are grid axes or periodic
-    patches of them."""
-    h, ndim = geom.spacings, len(geom.grid)
-    xa, ya = geom.x_axis(j), geom.y_axis(j)
-    dx = _d1(u, xa - ndim, h[xa])
-    if ya is None:
-        return 0.5 * dx.astype(complex)
-    return 0.5 * (dx - 1j * _d1(u, ya - ndim, h[ya]))
+    """``zderiv`` of a float field whose last axes are grid axes."""
+    return _zderiv_entry(geom, _Grid(u, len(geom.grid)), j)
 
 
 def lambda_endo(geom, phi=None):
@@ -207,24 +272,61 @@ def lambda_endo(geom, phi=None):
     return geom.alpha0 + complex_hessian(geom, pot)
 
 
-def neighbourhood(geom, ix):
-    """Index of the 3^k periodic neighbourhood of grid point ``ix``.
+def _integer(value, what):
+    """``value`` as an int: Python and numpy integers pass, while floats, bools
+    and anything else raise PreconditionError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{what} must be an integer, got {value!r}")
 
-    ``ix`` lists one index per grid axis, each in [-g, g) as for array
-    indexing.  ``field[neighbourhood(geom, ix)]`` has shape (3,) * k with
-    the point at its centre (1, ..., 1).
-    """
-    ix = np.atleast_1d(ix)
-    if ix.ndim != 1 or len(ix) != len(geom.grid):
+
+def _grid_index(geom, ix):
+    """Grid point ``ix`` as a tuple of ints (``_integer``), one per grid axis,
+    each in [-g, g) as for array indexing."""
+    entries = ix.tolist() if isinstance(ix, np.ndarray) else ix
+    if not isinstance(entries, (tuple, list)):
+        entries = (entries,)
+    if len(entries) != len(geom.grid):
         raise PreconditionError(
             f"grid index must list {len(geom.grid)} entries, got {np.shape(ix)}"
         )
-    index = []
-    for i, g in zip(ix.astype(int).tolist(), geom.grid):
+    index = tuple(_integer(i, "a grid index entry") for i in entries)
+    for i, g in zip(index, geom.grid):
         if not -g <= i < g:
             raise PreconditionError(f"grid index {i} outside [-{g}, {g})")
-        index.append([(i - 1) % g, i % g, (i + 1) % g])
-    return np.ix_(*index)
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_steps(ndim):
+    """(column, offsets) of the points the stencil formulas read about a point:
+    the point, one step along an axis, and one step along each of two axes.
+    ``column`` maps each steps tuple a ``_Point`` is asked for (two steps in
+    either order) to its row of the (K, ndim) ``offsets``, the point itself
+    row 0; both are shared by every caller and only read."""
+    one = [((a, s),) for a in range(ndim) for s in (1, -1)]
+    two = [(p, q) for (p,) in one for (q,) in one if p[0] < q[0]]
+    keys = [()] + one + two
+    column = {key: i for i, key in enumerate(keys)}
+    column.update({(q, p): column[p, q] for p, q in two})
+    offsets = np.zeros((len(keys), ndim), dtype=np.intp)
+    for row, key in zip(offsets, keys):
+        for axis, s in key:
+            row[axis] = s
+    offsets.flags.writeable = False
+    return column, offsets
+
+
+def _stencil_reads(geom, ix):
+    """(column, flat) about the checked grid point ``ix``: ``_stencil_steps``'
+    column map and the flat C-order indices of the points, wrapped
+    periodically."""
+    column, offsets = _stencil_steps(len(geom.grid))
+    flat = np.ravel_multi_index(tuple((offsets + ix).T), geom.grid, mode="wrap")
+    return column, flat
 
 
 @dataclass

@@ -610,6 +610,27 @@ class TestRayBoundary:
                 k = (phi_lifted_usc(H0 - (r - 1e-7) * np.diag(d)).value - c) / math.pi
                 assert abs(k - round(k)) < 1e-5
 
+    def test_real_roots_match_np_roots(self):
+        # the companion eigensolve is np.roots' own, bit for bit, including its
+        # trimming: zero constant terms (roots at 0), zero leading terms, and
+        # the zero polynomial
+        rng = np.random.default_rng(31)
+        cases = [[0.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 5.0]]
+        for _ in range(2000):
+            q = rng.standard_normal(int(rng.integers(2, 6))) * 10.0 ** rng.integers(-3, 4)
+            cut = int(rng.integers(0, len(q)))
+            kind = rng.integers(0, 3)
+            if kind == 1:
+                q[len(q) - cut :] = 0.0  # zero constant term and more
+            elif kind == 2:
+                q[:cut] = 0.0
+            cases.append(q)
+        for q in cases:
+            q = np.asarray(q, dtype=float)
+            ref = np.sort(np.roots(q).real)
+            got = angles._real_roots(q)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), q
+
     @pytest.mark.parametrize("spatial", [False, True])
     @pytest.mark.parametrize("m", [2, 3])
     def test_closed_form_coefficients(self, m, spatial):

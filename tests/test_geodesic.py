@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,8 @@ from dhymgeo.subequations import (
 )
 
 from test_angles import plain_bisection
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def reduced_geom(nx=16, a0=3.0):
@@ -206,7 +209,43 @@ def psi_problem(n, nt=7):
     )
 
 
+def pointwise_n2_problem():
+    """An n = 2 8^4 problem shaped like the pointwise benchmark's (no psi_alpha,
+    nt = 9) and a grid between its barriers: (problem, U, barriers)."""
+    geom = TorusGeometry(n=2, grid=(8,) * 4, alpha0=np.diag([1.5, 2.0]))
+    co = geom.coordinates()
+    tau = 2 * math.pi
+    phi1 = 0.03 * np.cos(tau * co["x1"] + 0.4) + 0.02 * np.sin(tau * co["y2"] + 1.1)
+    phi2 = 0.025 * np.sin(tau * co["x2"] + 2.0) * np.cos(tau * co["y1"] + 0.7) + 0.015
+    branch = select_branch(geom, require_regime=True)
+    pb = GeodesicProblem(geom=geom, phi1=phi1, phi2=phi2, branch=branch, nt=9)
+    bars = build_barriers(pb)
+    return pb, bars.lower + 0.45 * (bars.upper - bars.lower), bars
+
+
+JET_GRIDS = {
+    "reduced-n1": small_problem,
+    "full-n1-psi": lambda: psi_problem(1),
+    "n2": lambda: pointwise_n2_problem()[0],
+    "n2-psi": lambda: psi_problem(2),
+}
+
+
 class TestPointJet:
+    @pytest.mark.parametrize("grid", sorted(JET_GRIDS))
+    def test_equals_interior_jets_at_random_points(self, grid):
+        # bytes, not values: signed zeros and every last bit must match
+        pb = JET_GRIDS[grid]()
+        rng = np.random.default_rng(65)
+        U = 0.1 * rng.standard_normal((pb.nt,) + pb.geom.grid)
+        H, shape = interior_jets(pb, U)
+        H = H.reshape(shape + H.shape[-2:])
+        for _ in range(200):
+            it = int(rng.integers(1, pb.nt - 1))
+            ix = tuple(int(rng.integers(-g, g)) for g in pb.geom.grid)
+            jet = assemble_jet(pb, U, it, ix)
+            assert jet.matrix().tobytes() == H[(it - 1,) + ix].tobytes(), (it, ix)
+
     @pytest.mark.parametrize("grid", ["reduced-n1", "full-n1", "n2"])
     def test_equals_interior_jets_on_seam(self, grid):
         pb = small_problem() if grid == "reduced-n1" else psi_problem(1 if grid == "full-n1" else 2)
@@ -269,6 +308,33 @@ class TestPointJet:
                 solve(pb, init=U)
             else:
                 interior_jets(pb, U)
+
+    @pytest.mark.parametrize(
+        "it, ix",
+        [(2, (3.7, 1)), (2, (3, np.float64(1.0))), (2, (True, 1)), (2, np.array([3.0, 1.0])),
+         (2.0, (3, 1)), (True, (3, 1)), (np.float64(2.0), (3, 1))],
+        ids=["float-entry", "numpy-float-entry", "bool-entry", "float-array", "float-t",
+             "bool-t", "numpy-float-t"],
+    )
+    def test_non_integer_index_raises(self, it, ix):
+        # a float index must not be truncated to a neighbouring point, and a bool
+        # is not the index 1
+        pb = psi_problem(1)
+        bars = build_barriers(pb)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            assemble_jet(pb, bars.lower, it, ix)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            perron_update(pb, bars.lower, it, ix, bars.lower, bars.upper)
+
+    def test_numpy_integer_index(self):
+        pb = psi_problem(1)
+        U, bars = random_grid(pb, 66)
+        expect = assemble_jet(pb, U, 2, (3, -1)).matrix()
+        for it, ix in ((np.int64(2), (np.int32(3), np.int64(-1))), (2, np.array([3, -1]))):
+            assert assemble_jet(pb, U, it, ix).matrix().tobytes() == expect.tobytes()
+            assert perron_update(pb, U, it, ix, bars.lower, bars.upper) == perron_update(
+                pb, U, 2, (3, -1), bars.lower, bars.upper
+            )
 
     def test_bad_index_raises_reduced(self):
         pb = small_problem()
@@ -492,6 +558,26 @@ class TestPerronRoot:
             assert member(spec, A - margin * eye)
             assert not member(spec, A - (margin + 2e-10) * eye)
         assert certified >= 8
+
+    def test_pinned_values(self):
+        # perron_update and strict_margin at 64 seeded points of a problem shaped
+        # like the pointwise benchmark's, bit for bit as recorded in the golden
+        # file (it, ix, v.hex(), margin.hex() or None per line)
+        pb, U, bars = pointwise_n2_problem()
+        rng = np.random.default_rng(2323)
+        spec = SubeqSpec(space=SPACETIME, branch=pb.branch)
+        shifts = math.tan(pb.branch.c / 3) * rng.uniform(0.6, 1.8, 64)
+        matrices = sample_hermitian(rng, 3, 64) + shifts[:, None, None] * np.eye(3)
+        lines = (GOLDEN / "pointwise_n2_pinned.txt").read_text().splitlines()
+        assert len(lines) == 64
+        for A, line in zip(matrices, lines):
+            it = int(rng.integers(1, pb.nt - 1))
+            ix = tuple(int(i) for i in rng.integers(0, 8, 4))
+            fields = line.split()
+            assert [int(f) for f in fields[:5]] == [it, *ix]
+            assert perron_update(pb, U, it, ix, bars.lower, bars.upper) == float.fromhex(fields[5])
+            expect = None if fields[6] == "None" else float.fromhex(fields[6])
+            assert strict_margin(spec, A) == expect
 
     def test_four_angle_evaluations(self):
         for pb in (small_problem(), psi_problem(2, nt=5)):
