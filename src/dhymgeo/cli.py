@@ -223,6 +223,7 @@ def cmd_geodesic(args):
     rep.add("slice_ok", report.slice_ok)
     if report.two_init_discrepancy is not None:
         rep.add("two_init_discrepancy", report.two_init_discrepancy)
+        rep.add("two_init_iterations", len(report.details["two_init_newton_steps"]))
     print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
     if report.stop_reason == "max_iters":
         print(

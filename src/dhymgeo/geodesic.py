@@ -60,11 +60,17 @@ barrier's sheets have u_t constant in x, so kappa = 0, and a t row with
 rho < 0 and kappa = 0 has the periodic spatial Laplacian, null on
 constants, as its block.  Pseudo-transient continuation (Kelley and Keyes,
 SIAM J. Numer. Anal. 35, 1998) shifts the step, ((1 + s) I - J) delta = F
-with s = 1/dtau, and switched evolution relaxation sets dtau in
-proportion to 1/sup|F|: s = sup|F| / max(1, sup|U|) at every step, with
-s = 0 once it falls below 1e-12, so the last steps are Newton steps.  From
-the lower barrier (sup|F| 1e-2 and more) the first steps are damped; from
-the interpolation (sup|F| near 1e-4) they are nearly Newton steps.
+with s = 1/dtau, here s = (sup|F| / max(1, sup|U|))^2 at every step, with
+s = 0 once it falls below 1e-12, so the last steps are Newton steps.
+Every iterate is projected onto the barrier sandwich (clipped between the
+lower and upper envelopes), where the Perron solution lies.  The first
+step from the lower barrier (sup|F| 1e-2 and more) is nearly a full
+Newton step and overshoots; the projection absorbs that.  Under the
+unsquared law s = sup|F| / max(1, sup|U|) (switched evolution
+relaxation) the shift would follow the overshoot's larger residual and
+damp the next three or four steps.  The fixed point sits inside the
+sandwich, so near it the projection moves nothing and the quadratic tail
+is plain Newton's.
 
 The linear solve depends on the grid.  On a reduced grid (one x axis) the
 Jacobian is block tridiagonal in t with periodic-tridiagonal nx x nx
@@ -489,10 +495,12 @@ class _SweepN1:
         #   4    temporaries, then 2w      2w         temporaries
         #   mask rho <= 0                  r > 0
         # wd holds each Delta_h after ``updates`` and the weights after
-        # ``linearize``.  Array 3, ``spare``, is free after either of them.
+        # ``linearize``.  Array 3, ``spare``, is free after either of them,
+        # and the mask, ``outside``, after ``linearize``: Newton marks in it
+        # the entries its projection moves.
         shape = (problem.nt - 2,) + geom.grid
         self._work = tuple(np.empty(shape) for _ in range(5)) + (np.empty(shape, dtype=bool),)
-        self.spare = self._work[3]
+        self.spare, self.outside = self._work[3], self._work[5]
         self.wx = np.empty((len(self.axes),) + shape)
         self.wd = np.empty_like(self.wx)
 
@@ -622,8 +630,8 @@ class SolverReport:
     ``stop_reason``: on ``projected`` that step was unshifted and moved the
     grid by less than ``sweep_tol``, an estimate of the distance to the
     fixed point; on ``plateau`` it is the step that took sup|T(U) - U| to
-    ``floor``, often still shifted and then larger than the distance left
-    (``perron_check`` measures that); on ``max_iters`` it is the last step
+    ``floor``, often far larger than the distance left (``perron_check``
+    measures that); on ``max_iters`` it is the last step
     of an unconverged run.  ``floor`` is the rounding level
     8 eps max(1, sup|U|) that the last plateau test compared sup|T(U) - U|
     against.
@@ -740,19 +748,23 @@ def _block_thomas(shift, wx, wd, F):
     costs one inverse.
     """
     m, nx = F.shape
-    ar, plus, minus = np.arange(nx), (np.arange(nx) + 1) % nx, (np.arange(nx) - 1) % nx
-    S = np.zeros((m, nx, nx))
-    S[:, ar, ar] = 1.0 + shift
-    S[:, ar, plus] -= wx
-    S[:, ar, minus] -= wx
-    # Jup, then P in place, and Jdn
-    up = np.zeros_like(S)
-    up[:, ar, ar] = 0.5 - wx
-    down = up.copy()
-    up[:, ar, plus] += wd
-    up[:, ar, minus] -= wd
-    down[:, ar, plus] -= wd
-    down[:, ar, minus] += wd
+    # S, Jup (then P in place) and Jdn; on a flat view of a block the
+    # diagonal has stride nx + 1, (x, x+1) starts at 1 and (x, x-1) at nx,
+    # and the periodic ends are the entries nx (nx - 1) and nx - 1
+    blocks = np.zeros((3, m, nx, nx))
+    S, up, down = blocks
+    half = 0.5 - wx
+    for block, diagonal, plus, minus in (
+        (S, 1.0 + shift, -wx, -wx),
+        (up, half, wd, -wd),
+        (down, half, -wd, wd),
+    ):
+        flat = block.reshape(m, nx * nx)
+        flat[:, :: nx + 1] = diagonal
+        flat[:, 1 :: nx + 1] += plus[:, :-1]
+        flat[:, nx * (nx - 1)] += plus[:, -1]
+        flat[:, nx :: nx + 1] += minus[:, 1:]
+        flat[:, nx - 1] += minus[:, 0]
     z = F.copy()
     for k in range(m):
         if k:
@@ -959,15 +971,15 @@ class _Krylov:
         return x, iterations, beta <= target
 
 
-def _newton_solve(problem, U0):
+def _newton_solve(problem, U0, barriers):
     """Newton on F(U) = T(U) - U; returns a _Run.
 
     Each step solves ((1 + s) I - J) delta = T(U) - U: by ``_block_thomas``
     on a reduced grid and by preconditioned GMRES (``_Krylov``) on a full
-    one.  The shift is s = sup|F| / max(1, sup|U|) at the step's grid:
-    switched evolution relaxation, dtau scaled by sup|F_old| / sup|F_new|,
-    from dtau_0 = max(1, sup|U_0|) / sup|F_0|, with no state kept between
-    steps.  s is 0 once it falls below _SHIFT_OFF.  The stop reason is
+    one.  The shift is s = (sup|F| / max(1, sup|U|))^2 at the step's grid,
+    with no state kept between steps, and 0 once it falls below
+    _SHIFT_OFF.  U + delta is then clipped in place between the envelopes
+    of ``barriers``, the ones ``solve`` built.  The stop reason is
     ``projected`` (an unshifted step moved the grid by less than
     ``sweep_tol``), ``plateau`` (sup|F| reached the rounding floor first,
     ``run.floor``) or ``max_iters``.
@@ -975,13 +987,16 @@ def _newton_solve(problem, U0):
     GMRES stops at the Eisenstat-Walker forcing (``_forcing``), floored at
     half the rounding floor over sup|F|, so the last step does not solve
     far below what the plateau test can see.  ``run.steps`` records each
-    step's sup|F| and shift and, on a full grid, its GMRES iterations, its
+    step's sup|F|, its shift and ``clipped``, the number of entries the
+    projection moved, and, on a full grid, its GMRES iterations, its
     forcing and whether GMRES stopped at _KRYLOV_MAX short of that goal.
     """
     run = _Run(U0.copy())
     U = run.U
     mid = U[1:-1]
+    lower, upper = barriers.lower[1:-1], barriers.upper[1:-1]
     machine = _SweepN1(problem)
+    outside = machine.outside
     krylov = None if problem.geom.reduced else _Krylov(machine, mid.shape)
     norm_prev = eta = None
     while True:
@@ -994,7 +1009,7 @@ def _newton_solve(problem, U0):
             break
         if run.iterations == problem.max_iters:
             break
-        shift = f / scale
+        shift = (f / scale) ** 2
         if shift < _SHIFT_OFF:
             shift = 0.0
         step = {"sup_residual": f, "shift": shift}
@@ -1013,6 +1028,13 @@ def _newton_solve(problem, U0):
         if not math.isfinite(run.final_max_update):
             raise ValidationError(f"Newton step {run.iterations} is not finite")
         mid += delta
+        # project onto the barrier sandwich, as np.clip does
+        clipped = 0
+        for compare, bound in ((np.less, lower), (np.greater, upper)):
+            compare(mid, bound, out=outside)
+            clipped += int(np.count_nonzero(outside))
+            np.copyto(mid, bound, where=outside)
+        step["clipped"] = clipped
         if shift == 0.0 and run.final_max_update < problem.sweep_tol:
             run.stop_reason = "projected"
             break
@@ -1044,15 +1066,17 @@ def solve(problem, init="linear"):
     The solve is Newton's method on T(U) - U: block Thomas steps on reduced
     grids, preconditioned GMRES steps on full ones (``krylov_iterations``
     counts the GMRES iterations).  ``details["newton_steps"]`` holds one
-    dict per Newton step of this run: ``sup_residual`` (sup|F|) and
-    ``shift``, and on full grids ``krylov_iterations``, ``forcing`` (the
+    dict per Newton step of this run: ``sup_residual`` (sup|F|), ``shift``
+    and ``clipped`` (the entries the projection onto the barrier sandwich
+    moved), and on full grids ``krylov_iterations``, ``forcing`` (the
     relative GMRES residual asked for) and ``krylov_capped`` (GMRES stopped
     at its iteration limit short of it).
 
     ``init`` is "linear", "lower" or a grid (``_start``).  With
     ``check_two_init`` a second run starts from the lower envelope (from the
-    linear interpolation when ``init`` is "lower"), and the report carries
-    the sup-norm disagreement of the two results.
+    linear interpolation when ``init`` is "lower"), the report carries the
+    sup-norm disagreement of the two results, and
+    ``details["two_init_newton_steps"]`` the second run's steps.
     """
     t0 = time.perf_counter()
     if problem.geom.n != 1:
@@ -1061,14 +1085,16 @@ def solve(problem, init="linear"):
             "are served by the pointwise perron_update API"
         )
     barriers = build_barriers(problem)
-    run = _newton_solve(problem, _start(problem, barriers, init))
+    run = _newton_solve(problem, _start(problem, barriers, init), barriers)
     U = run.U
+    details = {"margins": list(problem.margins), "c": problem.branch.c, "newton_steps": run.steps}
 
     two_init = None
     if problem.check_two_init:
         second = "linear" if isinstance(init, str) and init == "lower" else "lower"
-        other = _newton_solve(problem, _start(problem, barriers, second)).U
-        two_init = float(np.max(np.abs(U - other)))
+        other = _newton_solve(problem, _start(problem, barriers, second), barriers)
+        two_init = float(np.max(np.abs(U - other.U)))
+        details["two_init_newton_steps"] = other.steps
 
     stats = _residual_stats(problem, U)
     ranges, slice_ok = validate_slices(problem, U)
@@ -1093,10 +1119,6 @@ def solve(problem, init="linear"):
         sandwich_ok=(low_worst >= -1e-9) and (high_worst >= -1e-9),
         two_init_discrepancy=two_init,
         runtime_seconds=time.perf_counter() - t0,
-        details={
-            "margins": list(problem.margins),
-            "c": problem.branch.c,
-            "newton_steps": run.steps,
-        },
+        details=details,
     )
     return U, report

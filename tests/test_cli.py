@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dhymgeo.cli import main
+from dhymgeo.config import load_problem
+from dhymgeo.geodesic import solve
 from dhymgeo.geometry import read_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -454,7 +456,22 @@ class TestGeodesicCommand:
         with pytest.raises(KeyError):
             grep(out, "two_init_discrepancy")
         with pytest.raises(KeyError):
+            grep(out, "two_init_iterations")
+        with pytest.raises(KeyError):
             grep(out, "check_two_init")
+
+    def test_two_init_iterations_follow_the_discrepancy(self, capsys):
+        # the second start's Newton steps, on the line after its discrepancy;
+        # a reader of iterations= by prefix still gets the first start's count
+        cfg = str(CONFIGS / "geodesic_sample.cfg")
+        code, out, _ = run(capsys, "geodesic", "--config", cfg)
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("two_init_iterations=" + grep(out, "two_init_iterations"))
+        assert lines[at - 1].startswith("two_init_discrepancy=")
+        _, report = solve(load_problem(cfg)[0])
+        assert int(grep(out, "two_init_iterations")) == len(report.details["two_init_newton_steps"]) > 0
+        assert int(grep(out, "iterations")) == report.iterations
 
     @pytest.mark.parametrize(
         "line",

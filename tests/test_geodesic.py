@@ -908,13 +908,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "kw, reason",
         [
-            # sup|F| goes from 3.2e-12 to the rounding floor in one step, at
-            # a shift of 3.2e-12: no unshifted step is ever taken
-            (dict(sweep_tol=1e-8), "plateau"),
+            # the unshifted step from sup|F| = 2.4e-10 moves the grid 1.5e-9,
+            # more than sweep_tol, and takes sup|F| to the rounding floor
+            (dict(n=16, nt=9, sweep_tol=1e-10), "plateau"),
             # no step moves the grid by less than 1e-300
             (dict(sweep_tol=1e-300), "plateau"),
             (dict(sweep_tol=1e-8, max_iters=3), "max_iters"),
-            # the unshifted step from sup|F| = 2.4e-13 moves the grid 3.0e-12
+            # the unshifted step from sup|F| = 2.0e-14 moves the grid 6.8e-13
             (dict(n=16, nt=17, sweep_tol=1e-10), "projected"),
         ],
     )
@@ -1258,7 +1258,7 @@ class TestNewton:
         # the reference is the fixed point of plain sweeps
         pb = make()
         U0 = lower_start(pb)
-        newton = geodesic._newton_solve(pb, U0)
+        newton = geodesic._newton_solve(pb, U0, build_barriers(pb))
         assert newton.stop_reason in ("projected", "plateau")
         assert newton.perron_check <= 1e-14
         Up, _ = plain_fixed_point(pb, U0)
@@ -1270,7 +1270,7 @@ class TestNewton:
     @pytest.mark.parametrize(
         "kw, reason",
         [
-            # the unshifted step from sup|F| = 2.6e-13 moves the grid 2.4e-12
+            # the unshifted step from sup|F| = 2.1e-15 moves the grid 6.0e-15
             (dict(nx=8, sweep_tol=1e-8), "projected"),
             # no step moves the grid by less than 1e-300
             (dict(sweep_tol=1e-300), "plateau"),
@@ -1364,7 +1364,7 @@ class TestNewton:
         assert len(steps) == rep.iterations
         assert sum(s["krylov_iterations"] for s in steps) == rep.krylov_iterations
         start = geodesic._start(pb, build_barriers(pb), "linear")
-        assert steps[0]["shift"] == steps[0]["sup_residual"] / max(1.0, np.max(np.abs(start)))
+        assert steps[0]["shift"] == (steps[0]["sup_residual"] / max(1.0, np.max(np.abs(start)))) ** 2
         assert steps[0]["forcing"] == geodesic._FORCING_MAX
         assert not any(s["krylov_capped"] for s in steps)
         # a GMRES solve stopped at its iteration limit is recorded
@@ -1373,11 +1373,15 @@ class TestNewton:
         steps = rep.details["newton_steps"]
         assert any(s["krylov_capped"] for s in steps)
         assert all(s["krylov_iterations"] == 2 for s in steps if s["krylov_capped"])
-        # reduced grids record sup|F| and the shift
-        _, rep = solve(small_problem())
+        # reduced grids record sup|F|, the shift and the entries clipped
+        _, rep = solve(small_problem(check_two_init=True))
         steps = rep.details["newton_steps"]
         assert len(steps) == rep.iterations
-        assert all(set(s) == {"sup_residual", "shift"} for s in steps)
+        assert all(set(s) == {"sup_residual", "shift", "clipped"} for s in steps)
+        # and two-init's second start keeps its own trace
+        second = rep.details["two_init_newton_steps"]
+        assert second and all(set(s) == {"sup_residual", "shift", "clipped"} for s in second)
+        assert "two_init_newton_steps" not in solve(small_problem())[1].details
 
     def test_starts_linear_then_lower(self, monkeypatch):
         # the first run starts from the clipped linear interpolation and
@@ -1386,9 +1390,9 @@ class TestNewton:
         starts = []
         newton_solve = geodesic._newton_solve
 
-        def recording(problem, U0):
+        def recording(problem, U0, barriers):
             starts.append(U0.copy())
-            return newton_solve(problem, U0)
+            return newton_solve(problem, U0, barriers)
 
         monkeypatch.setattr(geodesic, "_newton_solve", recording)
         pb = small_problem(check_two_init=True)
@@ -1406,7 +1410,7 @@ class TestNewton:
     @pytest.mark.parametrize("init", ["linear", "lower"])
     @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
     def test_shift_is_the_scaled_residual(self, monkeypatch, make, init):
-        # s = sup|F| / max(1, sup|U|) at each step's grid, 0 below _SHIFT_OFF
+        # s = (sup|F| / max(1, sup|U|))^2 at each step's grid, 0 below _SHIFT_OFF
         scales = []
         linearize = geodesic._SweepN1.linearize
 
@@ -1419,8 +1423,35 @@ class TestNewton:
         steps = rep.details["newton_steps"]
         assert len(steps) == rep.iterations and len(scales) >= rep.iterations
         for step, scale in zip(steps, scales):
-            expected = step["sup_residual"] / scale
+            expected = (step["sup_residual"] / scale) ** 2
             assert step["shift"] == (expected if expected >= geodesic._SHIFT_OFF else 0.0)
+        assert steps[0]["shift"] > 0.0 and steps[-1]["shift"] == 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: small_problem(nt=17), lambda: full_problem(n=16, nt=9)],
+        ids=["reduced", "full"],
+    )
+    def test_iterates_are_projected_onto_the_sandwich(self, monkeypatch, make):
+        # the first step from the lower envelope overshoots it and is
+        # clipped; every grid Newton linearizes at lies between the barriers
+        pb = make()
+        bars = build_barriers(pb)
+        grids = []
+        linearize = geodesic._SweepN1.linearize
+
+        def recording(self, up, mid, dn):
+            grids.append(mid.copy())
+            return linearize(self, up, mid, dn)
+
+        monkeypatch.setattr(geodesic._SweepN1, "linearize", recording)
+        U, rep = solve(pb, init="lower")
+        steps = rep.details["newton_steps"]
+        assert steps[0]["clipped"] > 0 and steps[-1]["clipped"] == 0
+        assert len(grids) == rep.iterations + 1
+        for mid in grids:
+            assert np.all(bars.lower[1:-1] <= mid) and np.all(mid <= bars.upper[1:-1])
+        assert rep.perron_check <= 1e-14
 
     def test_linear_start_takes_no_more_steps(self):
         pb = full_problem(n=16, nt=9, sweep_tol=1e-12)
@@ -1429,6 +1460,21 @@ class TestNewton:
         assert rep.iterations <= rep_l.iterations
         assert np.max(np.abs(U - Ul)) <= 1e-12
         assert max(rep.perron_check, rep_l.perron_check) <= 1e-14
+
+    def test_lower_start_on_the_generic_reduced_set(self):
+        # set A: the lower start takes 253 Newton steps in all (348 with the
+        # unsquared shift and no projection), reaches the linear start's
+        # grid, and no run's last step is clipped
+        steps = 0
+        for pb in generic_problems(40):
+            U, rep = solve(pb)
+            second = rep.details["two_init_newton_steps"]
+            steps += len(second)
+            assert rep.converged and rep.perron_check <= 1e-14
+            assert rep.two_init_discrepancy <= 1e-13
+            assert rep.details["newton_steps"][-1]["clipped"] == 0
+            assert second[-1]["clipped"] == 0
+        assert steps <= 260
 
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):
