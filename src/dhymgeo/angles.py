@@ -74,8 +74,8 @@ in ``realpart_spectrum_check`` and as the tests' oracle.
 Along a Perron ray A - v*diag(d) the lift crosses a level c where
 Im(e^{-ic} det(I0 + i(A - v*diag(d)))) vanishes, a real polynomial in v
 (``_level_roots``).  Up to 3x3 its coefficients come from the principal
-minors of I0 + i*A, with no eigensolve; ``_ray_boundary`` certifies the
-root it picks with two lift evaluations.
+minors of I0 + i*A, with no eigensolve.  From one evaluated member,
+``_ray_boundary`` certifies the root above it with two lift evaluations.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .linalg import HERM_TOL, check_hermitian, check_symmetric, hermitian_of, jproject
 
 REGULAR = "regular"
@@ -402,37 +403,47 @@ def _band_edge(A, d, v, eps):
     return v + (a11 + thr) / d[0] if in_band else None
 
 
-def _ray_boundary(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False, eps=EPS_SINGULAR):
+def _ray_boundary(angle, A, d, c, lo, phi_lo, tol, spatial=False, eps=EPS_SINGULAR):
     """Largest evaluated member of {v : angle(v) >= c} along A - v diag(d), d > 0.
 
     ``angle(v)`` evaluates the lifted angle (theta with ``spatial``) of
     A - v diag(d) with band width ``eps``, which does not increase in v.  On
-    entry angle(lo) = phi_lo >= c and angle(hi) < c.  The crossing of c is
-    a root of the polynomial of ``_level_roots``: among the roots in
-    (lo, hi), one is passed first for each level c + k pi (k >= 1) below
-    phi_lo; in the convexity regime there is none, and the crossing is the
-    smallest root.  Two evaluations at r -+ tol/2 certify it.  Where the
-    ray meets S, the lift keeps its upper extension across the singular
-    band, so when both probes land in the band the crossing is the band's
-    upper edge, and two more evaluations there certify it.  When the probes
-    do not bracket the boundary (a root off by more than tol/2), bisection
-    goes on from the bracket they narrowed.  Either way the returned v has
+    entry angle(lo) = phi_lo >= c.  The crossing of c is a root of the
+    polynomial of ``_level_roots``: among the roots above lo, one is passed
+    first for each level c + k pi (k >= 1) below phi_lo; in the convexity
+    regime there is none, and the crossing is the smallest root.  Two
+    evaluations at r -+ tol/2 certify it.  Where the ray meets S, the lift
+    keeps its upper extension across the singular band, so when both probes
+    land in the band the crossing is the band's upper edge, and two more
+    evaluations there certify it.  While no non-member has been evaluated
+    (no root above lo, or no probe outside the set), the search steps up
+    from the highest evaluated member by 1, 2, 4, ... up to 1e8, and raises
+    ValidationError if the ray never leaves the set; then, or where the
+    probes do not bracket the boundary (a root off by more than tol/2),
+    bisection goes on from the bracket.  Either way the returned v has
     angle(v) >= c evaluated and a value at most tol above it evaluated < c.
     """
     skip = max(math.ceil((phi_lo - c) / math.pi) - 1, 0)
     roots = _level_roots(A, d, c, spatial)
-    roots = roots[(roots > lo) & (roots < hi)]
+    roots = roots[roots > lo]
+    hi = math.inf
     if len(roots) > skip:
         lo, hi = _probe(angle, c, roots[skip], tol, lo, hi)
         edge = None if spatial or hi - lo <= tol else _band_edge(A, d, lo, eps)
         if edge is not None:
             lo, hi = _probe(angle, c, edge, tol, lo, hi)
+    base, step = lo, 1.0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if angle(mid) >= c:
-            lo = mid
+        if hi < math.inf:
+            v = 0.5 * (lo + hi)
+        elif step <= 1e8:
+            v, step = base + step, 2.0 * step
         else:
-            hi = mid
+            raise ValidationError("the admissible set is unbounded along the ray")
+        if angle(v) >= c:
+            lo = v
+        else:
+            hi = v
     return lo
 
 

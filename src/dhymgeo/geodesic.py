@@ -34,12 +34,12 @@ near 1e4 on a 32-point grid; its discriminant cancels two terms near 1e9
 and loses about 1e-14 in v, a floor on which the solve would stall.)
 One vectorized kernel evaluates it on the whole interior at once: the
 Perron map T, one Jacobi sweep.  The generic path (any n),
-``perron_update``, brackets v* between the barriers and takes it from the
-polynomial Im(e^{-ic} det(I0 + iH(v))), of degree n + 1 in v: in the regime
-(n-1)pi/2 < c < n pi/2 no higher level c + k pi is crossed first, so v* is
-its smallest root in the bracket.  Two evaluations of the lifted angle at
-the root -+ bisect_tol/2 certify it; bisection takes over from the
-narrowed bracket only where they do not (on or near the singular set).
+``perron_update``, finds an admissible value below the lower barrier and
+takes v* from the polynomial Im(e^{-ic} det(I0 + iH(v))), of degree n + 1
+in v: in the regime (n-1)pi/2 < c < n pi/2 no higher level c + k pi is
+crossed first, so v* is its smallest root above that value.  Two
+evaluations of the lifted angle at the root -+ bisect_tol/2 certify it;
+bisection takes over only where they do not (on or near the singular set).
 
 Every grid is solved by Newton's method on F(U) = T(U) - U, whose zero
 is the fixed point of T (the Perron solution).  T is smooth off
@@ -134,7 +134,7 @@ T_TOTAL = math.log(2.0)
 
 JACOBI = "jacobi"
 
-# Padding beyond the barrier sandwich for the bracket of the pointwise update.
+# Padding below the lower barrier where the pointwise update starts its search.
 _BRACKET_PAD = 1.0
 
 # Relative threshold for tagging converged jets as singular when reporting.
@@ -256,16 +256,14 @@ def build_barriers(problem):
     t = problem.t_grid.reshape((-1,) + (1,) * problem.phi1.ndim)
     phi1, phi2 = problem.phi1, problem.phi2
     r = rho(t)
-    C = float(np.max(phi1 - phi2)) / T_TOTAL + 1.0
-    A = (float(np.max(phi2 - phi1)) + 1.0) / T_TOTAL
-    B = A * T_TOTAL
-    u1 = phi1 + r - C * t
-    u2 = phi2 + r + A * t - B
-    Cd = float(np.max(phi2 - phi1)) / T_TOTAL + 1.0
-    Ad = (float(np.max(phi1 - phi2)) + 1.0) / T_TOTAL
-    Bd = Ad * T_TOTAL
-    v1 = -phi1 + r - Cd * t
-    v2 = -phi2 + r + Ad * t - Bd
+
+    def envelope(p1, p2):
+        C = float(np.max(p1 - p2)) / T_TOTAL + 1.0
+        A = (float(np.max(p2 - p1)) + 1.0) / T_TOTAL
+        return p1 + r - C * t, p2 + r + A * t - A * T_TOTAL
+
+    u1, u2 = envelope(phi1, phi2)
+    v1, v2 = envelope(-phi1, -phi2)
     lower = np.maximum(u1, u2)
     upper = -np.maximum(v1, v2)
     lower[0], lower[-1] = phi1, phi2
@@ -377,13 +375,14 @@ def _center_coeffs(problem):
 def perron_update(problem, U, it, ix, lower=None, upper=None):
     """Largest center value keeping the jet's lifted angle >= c.
 
-    Works for any n.  The bracket starts at the barrier sandwich padded
-    by 1.0 on each side and expands as needed; the admissible set is a
-    ray, so membership at the low end always appears eventually.  Its
-    boundary is a root of the polynomial Im(e^{-ic} det(I0 + iH(v))),
-    certified by two angle evaluations (``angles._ray_boundary``); the
-    result is evaluated admissible, a value at most ``bisect_tol`` above
-    it evaluated inadmissible.
+    Works for any n.  The search starts 1.0 below the lower barrier (or the
+    current value) and steps down until the value is admissible; the
+    admissible set is a ray, so a member always appears eventually.  From
+    there ``angles._ray_boundary`` takes the ray's boundary, a root of the
+    polynomial Im(e^{-ic} det(I0 + iH(v))), certified by two angle
+    evaluations; the result is evaluated admissible, a value at most
+    ``bisect_tol`` above it evaluated inadmissible.  ``upper`` is unused
+    and kept because the benchmark workloads pass it.
     """
     c = problem.branch.c
     it, ix = _point(problem, it, ix)
@@ -398,21 +397,14 @@ def perron_update(problem, U, it, ix, lower=None, upper=None):
         return phi_lifted_usc(H0 - v * D).value
 
     lo = (float(lower[it][ix]) if lower is not None else v0) - _BRACKET_PAD
-    hi = (float(upper[it][ix]) if upper is not None else v0) + _BRACKET_PAD
     for _ in range(80):
         phi_lo = angle(lo)
         if phi_lo >= c:
             break
         lo -= 2.0 * _BRACKET_PAD
     else:
-        raise ValidationError("no admissible value found below the bracket")
-    for _ in range(80):
-        if angle(hi) < c:
-            break
-        hi += 2.0 * _BRACKET_PAD
-    else:
-        raise ValidationError("admissible set unbounded above; scheme breakdown")
-    return _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, problem.bisect_tol)
+        raise ValidationError("no admissible value found below the lower barrier")
+    return _ray_boundary(angle, H0, d, c, lo, phi_lo, problem.bisect_tol)
 
 
 def _pair_slices(axis):

@@ -16,8 +16,8 @@ still a member then every Frobenius perturbation of size t keeps
 membership, so t certifies the distance to the complement.  The angle
 falls monotonically along the ray, so its boundary is a root of the real
 polynomial Im(e^{-i c} det(I0 + i(A - t*Id))) (degree n for the spatial
-sets, n + 1 for the space-time ones), checked by two membership
-evaluations.
+sets, n + 1 for the space-time ones) above t = 0, checked by two
+membership evaluations after the one at t = 0.
 
 Every fuzz suite runs through one harness, ``_fuzz``.  It splits the
 trials into shards of 2000 with child seeds spawned from ``seed``, so a
@@ -161,14 +161,15 @@ def dual_of(spec):
 def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
     """Certified lower bound on dist(A, complement), or None for non-members.
 
-    Brackets the boundary along A - t*Id by doubling, then takes it from
-    the polynomial root of ``angles._ray_boundary`` with two certifying
-    evaluations (bisection only where they do not bracket it).  The
-    returned t has member(A - t*Id) verified, and member(A - t'*Id) fails
-    for some t' at most ``bisect_tol`` above it; positivity of the set
-    under psd additions turns that into a Frobenius-ball certificate of
-    the same radius.  ``bisect_tol`` must be finite and positive: no
-    bisection can narrow a bracket of two adjacent floats to zero.
+    Evaluates membership once at t = 0, then takes the boundary along
+    A - t*Id from the polynomial root of ``angles._ray_boundary`` with two
+    certifying evaluations (bisection only where they do not bracket it).
+    The returned t has member(A - t*Id) verified, and member(A - t'*Id)
+    fails for some t' at most ``bisect_tol`` above it; positivity of the
+    set under psd additions turns that into a Frobenius-ball certificate
+    of the same radius.  Raises ValidationError if the ray never leaves
+    the set.  ``bisect_tol`` must be finite and positive: no bisection can
+    narrow a bracket of two adjacent floats to zero.
     """
     if not 0.0 < bisect_tol < math.inf:
         raise ValueError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
@@ -179,24 +180,15 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
     def angle(t):
         return _angle(spec, A - t * eye, eps)
 
-    lo, hi = 0.0, 1.0
-    phi_lo = angle(lo)
+    phi_lo = angle(0.0)
     if phi_lo < threshold:
         return None
-    phi_hi = angle(hi)
-    while phi_hi >= threshold:
-        lo, phi_lo = hi, phi_hi
-        hi *= 2.0
-        if hi > 1e8:
-            raise RuntimeError("strict_margin bracket failed to close")
-        phi_hi = angle(hi)
     return _ray_boundary(
         angle,
         _twist(spec, A),
         np.ones(A.shape[0]),
         threshold,
-        lo,
-        hi,
+        0.0,
         phi_lo,
         bisect_tol,
         spatial=spec.space == SPATIAL,

@@ -556,8 +556,13 @@ class TestUscConsistency:
             assert errs[2] < 1e-5
 
 
-def plain_bisection(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False, eps=None):
-    """Reference for _ray_boundary: bisection alone, same contract."""
+def plain_bisection(angle, A, d, c, lo, phi_lo, tol, spatial=False, eps=None):
+    """Reference for _ray_boundary, same contract: the same doubling up from
+    lo to a non-member, then bisection alone."""
+    base, step = lo, 1.0
+    while angle(base + step) >= c:
+        lo, step = base + step, 2.0 * step
+    hi = base + step
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if angle(mid) >= c:
@@ -567,13 +572,11 @@ def plain_bisection(angle, A, d, c, lo, hi, phi_lo, tol, spatial=False, eps=None
     return lo
 
 
-def ray_bracket(angle, c):
-    lo, hi = -1.0, 1.0
+def ray_member(angle, c):
+    lo = -1.0
     while angle(lo) < c:
         lo *= 2.0
-    while angle(hi) >= c:
-        hi *= 2.0
-    return lo, hi
+    return lo
 
 
 class TestRayBoundary:
@@ -590,10 +593,10 @@ class TestRayBoundary:
             def angle(v):
                 return phi_lifted_usc(H0 - v * D).value
 
-            lo, hi = ray_bracket(angle, c)
+            lo = ray_member(angle, c)
             phi_lo = angle(lo)
-            v = _ray_boundary(angle, H0, np.diag(D), c, lo, hi, phi_lo, tol)
-            assert abs(v - plain_bisection(angle, H0, D, c, lo, hi, phi_lo, tol)) <= tol
+            v = _ray_boundary(angle, H0, np.diag(D), c, lo, phi_lo, tol)
+            assert abs(v - plain_bisection(angle, H0, D, c, lo, phi_lo, tol)) <= tol
             assert angle(v - tol) >= c
             assert angle(v + 2 * tol) < c
 
@@ -664,13 +667,13 @@ class TestRayBoundary:
             evals[0] += 1
             return phi_lifted_usc(H0 - v * np.diag(d)).value
 
-        lo, hi = ray_bracket(angle, c)
+        lo = ray_member(angle, c)
         phi_lo = angle(lo)
         evals[0] = 0
         tol = 1e-10
-        v = _ray_boundary(angle, H0, d, c, lo, hi, phi_lo, tol)
+        v = _ray_boundary(angle, H0, d, c, lo, phi_lo, tol)
         in_band = b < 1e-10 and d[0] == 1.0
         assert (2 < evals[0] <= 5) if in_band else (evals[0] <= 2)
-        ref = plain_bisection(angle, H0, d, c, lo, hi, phi_lo, tol)
+        ref = plain_bisection(angle, H0, d, c, lo, phi_lo, tol)
         assert abs(v - ref) <= tol
         assert angle(v) >= c and angle(v + tol) < c

@@ -579,7 +579,8 @@ class TestPerronRoot:
             expect = None if fields[6] == "None" else float.fromhex(fields[6])
             assert strict_margin(spec, A) == expect
 
-    def test_four_angle_evaluations(self):
+    def test_three_angle_evaluations(self):
+        # one below the lower barrier, two certifying the root above it
         for pb in (small_problem(), psi_problem(2, nt=5)):
             U, bars = random_grid(pb, 62)
             box = [0]
@@ -587,7 +588,33 @@ class TestPerronRoot:
                 for it, ix in ((1, (0,) * len(pb.geom.grid)), (pb.nt - 2, (3,) * len(pb.geom.grid))):
                     box[0] = 0
                     perron_update(pb, U, it, ix, bars.lower, bars.upper)
-                    assert box[0] == 4
+                    assert box[0] == 3
+
+    def test_unbounded_ray_raises(self):
+        # with no root past the member and an angle that never falls below
+        # c, the upward search stops at its cap: 1, 2, 4, ..., 2**26
+        from dhymgeo import angles, subequations
+
+        no_roots = mock.patch.object(angles, "_level_roots", lambda *a, **k: np.array([]))
+        evals = [0]
+
+        def flat(v):
+            evals[0] += 1
+            return 1.0
+
+        with no_roots, pytest.raises(ValidationError, match="unbounded"):
+            angles._ray_boundary(flat, np.eye(2), np.ones(2), 0.5, 0.0, 1.0, 1e-10)
+        assert evals[0] == 27
+        pb = small_problem()
+        U, bars = random_grid(pb, 62)
+        spec = SubeqSpec(space=SPACETIME, branch=pb.branch)
+        high = mock.Mock(return_value=mock.Mock(value=pb.branch.c + 1.0))
+        with no_roots, mock.patch.object(geodesic, "phi_lifted_usc", high):
+            with pytest.raises(ValidationError, match="unbounded"):
+                perron_update(pb, U, 2, (3,), bars.lower, bars.upper)
+        with no_roots, mock.patch.object(subequations, "phi_lifted_usc", high):
+            with pytest.raises(ValidationError, match="unbounded"):
+                strict_margin(spec, np.eye(2))
 
     @pytest.mark.parametrize("bump", [0.0, 4e-13])
     def test_singular_point(self, bump):

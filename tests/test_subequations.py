@@ -135,8 +135,8 @@ class TestStrictMarginValidation:
         ids=lambda s: s.kind,
     )
     def test_validates_once(self, spec):
-        # one check of A, although the bracket and the root take at least
-        # four angle evaluations
+        # one check of A, although the member at t = 0 and the root take at
+        # least three angle evaluations
         rng = np.random.default_rng(36)
         A = random_hermitian(rng, spec.matrix_dim) + 3.0 * np.eye(spec.matrix_dim)
         with mock.patch.object(
@@ -144,6 +144,27 @@ class TestStrictMarginValidation:
         ) as check:
             assert strict_margin(spec, A) is not None
         assert check.call_count == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            spacetime_spec(math.pi / 4, 1),
+            spacetime_spec(0.3, 2, twist=np.diag([0.5, -0.2])),
+            SubeqSpec(space=SPATIAL, branch=Branch(c=0.6, n=2), dual=True),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_angle_evaluations(self, spec):
+        # one for a non-member; for a member away from S, one at t = 0 and
+        # two certifying the root
+        dim = spec.matrix_dim
+        A = random_hermitian(np.random.default_rng(36), dim) + 3.0 * np.eye(dim)
+        with mock.patch.object(subequations, "_angle", wraps=subequations._angle) as angle:
+            assert strict_margin(spec, A - 10.0 * np.eye(dim)) is None
+            assert angle.call_count == 1
+            angle.reset_mock()
+            assert strict_margin(spec, A) is not None
+            assert angle.call_count == 3
 
 
 def margin_and_reference(spec, A):
