@@ -8,6 +8,7 @@ and 2 for configuration or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -256,14 +257,17 @@ def cmd_geodesic(args):
         write_grid(out / "solution.grid", U)
         with open(out / "slices.csv", "w") as fh:
             fh.write("t_index,t,theta_min,theta_max\n")
+            t_grid = problem.t_grid
             for i, (lo, hi) in enumerate(report.slice_ranges, start=1):
-                t = problem.t_grid[i]
-                fh.write(f"{i},{t:.12g},{lo:.12g},{hi:.12g}\n")
+                fh.write(f"{i},{t_grid[i]:.12g},{lo:.12g},{hi:.12g}\n")
     rep.emit(args.out, "geodesic.txt")
     return 0 if status else 1
 
 
+@functools.cache
 def build_parser():
+    # built once per process: the parser binds the cmd_* functions it was
+    # built with, so patching one after the first call does not reach main
     parser = argparse.ArgumentParser(
         prog="dhymgeo",
         description="Angle calculus and weak geodesics for positive (1,1)-potentials on flat tori.",

@@ -20,7 +20,7 @@ Layout::
     nt = 33
     sweep_tol = 1e-12       ; Newton stops when an unshifted step moves less
     max_iters = 100000      ; Newton steps
-    two_init = true         ; second run from the lower envelope, report agreement
+    two_init = true         ; second run from the upper envelope, report agreement
     residual_tol = 1e-5
 
 Potential values starting with ``@`` are grid files (header line with the

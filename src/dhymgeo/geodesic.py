@@ -54,18 +54,20 @@ derivative has neighbour weights per point and spatial axis h
 where Delta_h = D(x+e_h) - D(x-e_h) is the mixed difference of
 D = u(t+1) - u(t-1), and wx = wd = 0 where r = 0.  A solve starts from
 the linear radial interpolation of the boundary data clipped to the
-barrier sandwich, already near the fixed point.  Plain Newton from the
-lower barrier, two-init's second start, meets singular Jacobians: the
-barrier's sheets have u_t constant in x, so kappa = 0, and a t row with
-rho < 0 and kappa = 0 has the periodic spatial Laplacian, null on
-constants, as its block.  Pseudo-transient continuation (Kelley and Keyes,
-SIAM J. Numer. Anal. 35, 1998) shifts the step, ((1 + s) I - J) delta = F
-with s = 1/dtau, here s = (sup|F| / max(1, sup|U|))^2 at every step, with
-s = 0 once it falls below 1e-12, so the last steps are Newton steps.
-Every iterate is projected onto the barrier sandwich (clipped between the
-lower and upper envelopes), where the Perron solution lies.  The first
-step from the lower barrier (sup|F| 1e-2 and more) is nearly a full
-Newton step and overshoots; the projection absorbs that.  Under the
+barrier sandwich, already near the fixed point.  Plain Newton from an
+envelope, such as two-init's second start (the upper one), meets singular
+Jacobians: the envelopes' sheets have u_t constant in x, so kappa = 0, and
+a t row with rho < 0 and kappa = 0 has the periodic spatial Laplacian,
+null on constants, as its block.  Pseudo-transient continuation (Kelley
+and Keyes, SIAM J. Numer. Anal. 35, 1998) shifts the step,
+((1 + s) I - J) delta = F with s = 1/dtau, here
+s = (sup|F| / max(1, sup|U|))^2 at every step, with s = 0 once it falls
+below 1e-12, so the last steps are Newton steps.  Every iterate is
+projected onto the barrier sandwich (clipped between the lower and upper
+envelopes), where the Perron solution lies.  The first step from the
+lower barrier (sup|F| 1e-2 and more) is nearly a full Newton step and
+overshoots, on reduced grids often onto the whole upper envelope; the
+projection absorbs that.  Under the
 unsquared law s = sup|F| / max(1, sup|U|) (switched evolution
 relaxation) the shift would follow the overshoot's larger residual and
 damp the next three or four steps.  The fixed point sits inside the
@@ -1065,7 +1067,7 @@ def solve(problem, init="linear"):
     at its iteration limit short of it).
 
     ``init`` is "linear", "lower" or a grid (``_start``).  With
-    ``check_two_init`` a second run starts from the lower envelope (from the
+    ``check_two_init`` a second run starts from the upper envelope (from the
     linear interpolation when ``init`` is "lower"), the report carries the
     sup-norm disagreement of the two results, and
     ``details["two_init_newton_steps"]`` the second run's steps.
@@ -1083,7 +1085,8 @@ def solve(problem, init="linear"):
 
     two_init = None
     if problem.check_two_init:
-        second = "linear" if isinstance(init, str) and init == "lower" else "lower"
+        # the upper envelope, where a lower start's first step often lands
+        second = "linear" if isinstance(init, str) and init == "lower" else barriers.upper
         other = _newton_solve(problem, _start(problem, barriers, second), barriers)
         two_init = float(np.max(np.abs(U - other.U)))
         details["two_init_newton_steps"] = other.steps

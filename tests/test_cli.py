@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dhymgeo.cli import main
+from dhymgeo.cli import build_parser, main
 from dhymgeo.config import load_problem
 from dhymgeo.geodesic import solve
 from dhymgeo.geometry import read_grid
@@ -41,6 +41,19 @@ def grep(text, key):
         if line.startswith(key + "="):
             return line.split("=", 1)[1]
     raise KeyError(key)
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        # main builds its parser once per process; a command run before
+        # another leaves nothing behind in it
+        angles = ("angles", "--matrix", str(CONFIGS / "angles_sample.mat"))
+        dhym = ("dhym", "--config", str(CONFIGS / "dhym_sample.cfg"))
+        for argv, golden in ((angles, "angles_sample"), (dhym, "dhym_sample"), (angles, "angles_sample")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == (GOLDEN / f"{golden}.txt").read_text()
+        assert build_parser() is build_parser()
 
 
 class TestAngles:

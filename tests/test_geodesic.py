@@ -1410,10 +1410,10 @@ class TestNewton:
         assert second and all(set(s) == {"sup_residual", "shift", "clipped"} for s in second)
         assert "two_init_newton_steps" not in solve(small_problem())[1].details
 
-    def test_starts_linear_then_lower(self, monkeypatch):
-        # the first run starts from the clipped linear interpolation and
-        # two-init's second from the lower envelope; from "lower" the second
-        # run is the linear one, so two-init always compares two starts
+    def test_second_start_is_the_upper_envelope(self, monkeypatch):
+        # two-init's second run starts from the upper envelope after the
+        # default start and after a grid; from "lower" the first step mostly
+        # lands there, so the second run is the clipped linear interpolation
         starts = []
         newton_solve = geodesic._newton_solve
 
@@ -1427,12 +1427,15 @@ class TestNewton:
         linear = np.clip(linear_interpolation(pb), bars.lower, bars.upper)
         linear[0], linear[-1] = pb.phi1, pb.phi2
         lower = lower_start(pb)
-        solve(pb)
-        assert len(starts) == 2
-        assert np.array_equal(starts[0], linear) and np.array_equal(starts[1], lower)
-        starts.clear()
-        solve(pb, init="lower")
-        assert np.array_equal(starts[0], lower) and np.array_equal(starts[1], linear)
+        for init, first, second in (
+            ("linear", linear, bars.upper),
+            (lower, lower, bars.upper),
+            ("lower", lower, linear),
+        ):
+            starts.clear()
+            solve(pb, init=init)
+            assert len(starts) == 2
+            assert np.array_equal(starts[0], first) and np.array_equal(starts[1], second)
 
     @pytest.mark.parametrize("init", ["linear", "lower"])
     @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
@@ -1488,10 +1491,10 @@ class TestNewton:
         assert np.max(np.abs(U - Ul)) <= 1e-12
         assert max(rep.perron_check, rep_l.perron_check) <= 1e-14
 
-    def test_lower_start_on_the_generic_reduced_set(self):
-        # set A: the lower start takes 253 Newton steps in all (348 with the
-        # unsquared shift and no projection), reaches the linear start's
-        # grid, and no run's last step is clipped
+    def test_second_start_on_the_generic_reduced_set(self):
+        # set A: the upper start takes 210 Newton steps in all (the lower
+        # start 253, and 348 with the unsquared shift and no projection),
+        # reaches the linear start's grid, and no run's last step is clipped
         steps = 0
         for pb in generic_problems(40):
             U, rep = solve(pb)
@@ -1501,7 +1504,32 @@ class TestNewton:
             assert rep.two_init_discrepancy <= 1e-13
             assert rep.details["newton_steps"][-1]["clipped"] == 0
             assert second[-1]["clipped"] == 0
-        assert steps <= 260
+        assert steps <= 215
+
+    def test_upper_start_repeats_a_lower_start_that_lands_there(self):
+        # set A: where the lower start's first step is projected onto the
+        # whole upper envelope (30 of 40 problems), the rest of that run is
+        # the upper start's, bit for bit
+        landed = 0
+        for pb in generic_problems(40):
+            bars = build_barriers(pb)
+            U0 = lower_start(pb)
+            first = geodesic._newton_solve(replace(pb, max_iters=1), U0, bars).U
+            if np.array_equal(first, bars.upper):
+                landed += 1
+                lower = geodesic._newton_solve(pb, U0, bars)
+                upper = geodesic._newton_solve(pb, bars.upper, bars)
+                assert np.array_equal(upper.U, lower.U)
+                assert len(upper.steps) == len(lower.steps) - 1
+        assert landed >= 1
+
+    def test_upper_start_takes_no_more_steps_than_the_lower(self):
+        pb = full_problem(n=16, nt=9, sweep_tol=1e-12)
+        Uu, rep_u = solve(pb, init=build_barriers(pb).upper)
+        Ul, rep_l = solve(pb, init="lower")
+        assert rep_u.iterations <= rep_l.iterations
+        assert rep_u.krylov_iterations <= rep_l.krylov_iterations
+        assert np.max(np.abs(Uu - Ul)) <= 1e-12
 
     def test_generic_reduced_set_meets_the_residual_gate(self):
         for pb in generic_problems(12):
