@@ -106,13 +106,12 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch
+from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch, theta_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import (
     _Point,
@@ -125,7 +124,6 @@ from .geometry import (
     _stencil_reads,
     _zderiv,
     _zderiv_entry,
-    angle_field,
     h_membership,
     lambda_endo,
 )
@@ -165,7 +163,8 @@ class GeodesicProblem:
     the width of the certified bracket of a pointwise update.  Grids are
     solved by Newton steps on T(U) - U, with T the Jacobi Perron map, which
     ``sweep_tol`` and ``max_iters`` bound; both tolerances must be finite
-    and positive, and ``max_iters`` a non-negative integer.  ``mode``
+    and positive, ``max_iters`` a non-negative integer and ``nt`` an integer
+    of at least 5 (``geometry._integer``: no floats or bools).  ``mode``
     accepts only "jacobi" and is kept because the benchmark workloads pass
     it.
     """
@@ -186,14 +185,14 @@ class GeodesicProblem:
         self.phi2 = np.asarray(self.phi2, dtype=float)
         if self.phi1.shape != self.geom.grid or self.phi2.shape != self.geom.grid:
             raise PreconditionError("boundary potentials must live on the geometry grid")
-        if self.nt < 5:
+        if _integer(self.nt, "nt") < 5:
             raise PreconditionError("need at least 5 radial grid points")
         if self.mode != JACOBI:
             raise PreconditionError(f"mode {self.mode!r} is not supported; the Perron map is Jacobi")
         for name, value in (("sweep_tol", self.sweep_tol), ("bisect_tol", self.bisect_tol)):
             if not 0.0 < value < math.inf:
                 raise PreconditionError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+        if _integer(self.max_iters, "max_iters") < 0:
             raise PreconditionError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
         if self.branch.n != self.geom.n:
             raise PreconditionError("branch dimension does not match the geometry")
@@ -296,21 +295,6 @@ def _check_grid(problem, U):
     return U
 
 
-def _spacetime_matrices(problem, U):
-    """Space-time matrices of U's interior t rows, one per point."""
-    geom, n, ht = problem.geom, problem.geom.n, problem.ht
-    mid, psi = U[1:-1], geom.psi_alpha
-    udot = _central(U[2:], U[:-2], ht)
-    H = np.empty(mid.shape + (n + 1, n + 1), dtype=complex)
-    H[..., 0, 0] = _second(U[2:], mid, U[:-2], ht)
-    for j in range(n):
-        b = _zderiv(geom, udot, j)
-        H[..., 1 + j, 0] = b
-        H[..., 0, 1 + j] = np.conj(b)
-    H[..., 1:, 1:] = geom.alpha0 + _hessian(geom, mid if psi is None else psi + mid)
-    return H
-
-
 def _point(problem, it, ix):
     """(it, ix) of an interior space-time grid point as ints, checked: it
     in (0, nt - 1) and ix a grid index (``geometry._grid_index``)."""
@@ -377,14 +361,14 @@ def _center_coeffs(problem):
 def perron_update(problem, U, it, ix, lower=None, upper=None):
     """Largest center value keeping the jet's lifted angle >= c.
 
-    Works for any n.  The search starts 1.0 below the lower barrier (or the
-    current value) and steps down until the value is admissible; the
-    admissible set is a ray, so a member always appears eventually.  From
-    there ``angles._ray_boundary`` takes the ray's boundary, a root of the
-    polynomial Im(e^{-ic} det(I0 + iH(v))), certified by two angle
-    evaluations; the result is evaluated admissible, a value at most
-    ``bisect_tol`` above it evaluated inadmissible.  ``upper`` is unused
-    and kept because the benchmark workloads pass it.
+    Works for any n.  The search starts 1.0 below the lower barrier (a grid
+    shaped like U) or the current value and steps down until the value is
+    admissible; the admissible set is a ray, so a member always appears
+    eventually.  From there ``angles._ray_boundary`` takes the ray's
+    boundary, a root of the polynomial Im(e^{-ic} det(I0 + iH(v))),
+    certified by two angle evaluations; the result is evaluated admissible,
+    a value at most ``bisect_tol`` above it evaluated inadmissible.
+    ``upper`` is unused and kept because the benchmark workloads pass it.
     """
     c = problem.branch.c
     it, ix = _point(problem, it, ix)
@@ -398,7 +382,7 @@ def perron_update(problem, U, it, ix, lower=None, upper=None):
     def angle(v):
         return phi_lifted_usc(H0 - v * D).value
 
-    lo = (float(lower[it][ix]) if lower is not None else v0) - _BRACKET_PAD
+    lo = (float(_check_grid(problem, lower)[it][ix]) if lower is not None else v0) - _BRACKET_PAD
     for _ in range(80):
         phi_lo = angle(lo)
         if phi_lo >= c:
@@ -667,45 +651,55 @@ class SolverReport:
 
 
 def interior_jets(problem, U):
-    """Assembled space-time matrices of every interior point, flattened.
+    """Space-time matrices of every interior point, flattened.
 
     Returns (H, shape) with H of shape (count, n+1, n+1) and shape =
     (nt - 2,) + grid.  The geometry stencil formulas run on rolled arrays,
-    the ones ``assemble_jet`` runs on one point's numbers.
+    the ones ``assemble_jet`` runs on one point's numbers.  A point's spatial
+    block is its t-slice's ``lambda_endo``; ``solve`` builds this stack once
+    and reads harmonicity and the slice ranges from it.
     """
-    H = _spacetime_matrices(problem, _check_grid(problem, U))
-    return H.reshape((-1,) + H.shape[-2:]), H.shape[:-2]
+    U = _check_grid(problem, U)
+    geom, n, ht = problem.geom, problem.geom.n, problem.ht
+    mid, psi = U[1:-1], geom.psi_alpha
+    udot = _central(U[2:], U[:-2], ht)
+    H = np.empty(mid.shape + (n + 1, n + 1), dtype=complex)
+    H[..., 0, 0] = _second(U[2:], mid, U[:-2], ht)
+    for j in range(n):
+        b = _zderiv(geom, udot, j)
+        H[..., 1 + j, 0] = b
+        H[..., 0, 1 + j] = np.conj(b)
+    H[..., 1:, 1:] = geom.alpha0 + _hessian(geom, mid if psi is None else psi + mid)
+    return H.reshape((-1, n + 1, n + 1)), mid.shape
 
 
-def _residual_stats(problem, U):
-    """Split interior points by singular tag and measure harmonicity."""
-    c = problem.branch.c
-    H, _ = interior_jets(problem, U)
+def _residual_stats(problem, H):
+    """Split the jets H by singular tag and measure harmonicity."""
     vals, singular = phi_lifted_usc_batch(H, eps=EPS_REPORT)
-    usc_gap_min = math.inf
-    res_max = 0.0
-    if np.any(singular):
-        usc_gap_min = float(np.min(vals[singular] - c))
-    if np.any(~singular):
-        res_max = float(np.max(np.abs(vals[~singular] - c)))
+    vals -= problem.branch.c
     return {
         "n_regular": int(np.sum(~singular)),
         "n_singular": int(np.sum(singular)),
-        "residual_regular_max": res_max,
-        "singular_usc_gap_min": usc_gap_min,
+        "residual_regular_max": float(np.max(np.abs(vals[~singular]), initial=0.0)),
+        "singular_usc_gap_min": float(np.min(vals[singular], initial=math.inf)),
     }
+
+
+def _slice_ranges(problem, H):
+    """``validate_slices`` from the jets H: the angle at a point is theta of
+    its spatial block, the value ``angle_field`` gives there."""
+    c = problem.branch.c
+    values = theta_batch(H[:, 1:, 1:]).reshape(problem.nt - 2, -1)
+    vmin, vmax = values.min(axis=1), values.max(axis=1)
+    ok = bool(np.all(vmin >= c - math.pi / 2 - 1e-3) and np.all(vmax <= c + math.pi / 2 + 1e-3))
+    return list(zip(vmin.tolist(), vmax.tolist())), ok
 
 
 def validate_slices(problem, U):
     """Spatial angle range of every interior t-slice against [c-pi/2, c+pi/2]
-    widened by 1e-3, from one ``angle_field`` call on the stack of slices.
-    A slice whose range is not finite fails."""
-    c = problem.branch.c
-    values = angle_field(problem.geom, _check_grid(problem, U)[1:-1]).values
-    values = values.reshape(problem.nt - 2, -1)
-    vmin, vmax = values.min(axis=1), values.max(axis=1)
-    ok = bool(np.all(vmin >= c - math.pi / 2 - 1e-3) and np.all(vmax <= c + math.pi / 2 + 1e-3))
-    return list(zip(vmin.tolist(), vmax.tolist())), ok
+    widened by 1e-3, read from the spatial blocks of ``interior_jets``.  A
+    slice whose range is not finite fails."""
+    return _slice_ranges(problem, interior_jets(problem, U)[0])
 
 
 @dataclass
@@ -713,8 +707,6 @@ class _Run:
     """One solve: the grid, how it stopped, and what it took."""
 
     U: np.ndarray
-    iterations: int = 0
-    krylov_iterations: int = 0
     final_max_update: float = 0.0
     floor: float = 0.0
     stop_reason: str = "max_iters"
@@ -1001,7 +993,7 @@ def _newton_solve(problem, U0, barriers):
         if f <= floor:
             run.stop_reason = "plateau"
             break
-        if run.iterations == problem.max_iters:
+        if len(run.steps) == problem.max_iters:
             break
         shift = (f / scale) ** 2
         if shift < _SHIFT_OFF:
@@ -1013,14 +1005,12 @@ def _newton_solve(problem, U0, barriers):
             norm = float(np.linalg.norm(F))
             eta = _forcing(norm, norm_prev, eta, 0.5 * floor / f)
             delta, iterations, reached = krylov.solve(shift, F, eta)
-            run.krylov_iterations += iterations
             norm_prev = norm
             step.update(krylov_iterations=iterations, forcing=eta, krylov_capped=not reached)
         run.steps.append(step)
-        run.iterations += 1
         run.final_max_update = float(np.max(np.abs(delta)))
         if not math.isfinite(run.final_max_update):
-            raise ValidationError(f"Newton step {run.iterations} is not finite")
+            raise ValidationError(f"Newton step {len(run.steps)} is not finite")
         mid += delta
         # project onto the barrier sandwich, as np.clip does
         clipped = 0
@@ -1070,7 +1060,9 @@ def solve(problem, init="linear"):
     ``check_two_init`` a second run starts from the upper envelope (from the
     linear interpolation when ``init`` is "lower"), the report carries the
     sup-norm disagreement of the two results, and
-    ``details["two_init_newton_steps"]`` the second run's steps.
+    ``details["two_init_newton_steps"]`` the second run's steps.  The result
+    is validated in one pass over one ``interior_jets`` stack: the residual
+    split lifts it, and the slice ranges are theta of its spatial blocks.
     """
     t0 = time.perf_counter()
     if problem.geom.n != 1:
@@ -1081,7 +1073,7 @@ def solve(problem, init="linear"):
     barriers = build_barriers(problem)
     run = _newton_solve(problem, _start(problem, barriers, init), barriers)
     U = run.U
-    details = {"margins": list(problem.margins), "c": problem.branch.c, "newton_steps": run.steps}
+    details = {"newton_steps": run.steps}
 
     two_init = None
     if problem.check_two_init:
@@ -1091,22 +1083,19 @@ def solve(problem, init="linear"):
         two_init = float(np.max(np.abs(U - other.U)))
         details["two_init_newton_steps"] = other.steps
 
-    stats = _residual_stats(problem, U)
-    ranges, slice_ok = validate_slices(problem, U)
+    H, _ = interior_jets(problem, U)
+    ranges, slice_ok = _slice_ranges(problem, H)
     low_worst = float(np.min(U - barriers.lower))
     high_worst = float(np.min(barriers.upper - U))
     report = SolverReport(
-        iterations=run.iterations,
+        iterations=len(run.steps),
         final_max_update=run.final_max_update,
         floor=run.floor,
         converged=run.stop_reason != "max_iters",
         stop_reason=run.stop_reason,
-        krylov_iterations=run.krylov_iterations,
+        krylov_iterations=sum(step.get("krylov_iterations", 0) for step in run.steps),
         perron_check=run.perron_check,
-        residual_regular_max=stats["residual_regular_max"],
-        n_regular=stats["n_regular"],
-        n_singular=stats["n_singular"],
-        singular_usc_gap_min=stats["singular_usc_gap_min"],
+        **_residual_stats(problem, H),
         slice_ranges=ranges,
         slice_ok=slice_ok,
         sandwich_low_worst=low_worst,

@@ -10,6 +10,8 @@ from dhymgeo.config import load_problem
 from dhymgeo.geodesic import solve
 from dhymgeo.geometry import read_grid
 
+from pin_geodesic import INTEGERS, NAMES, pinned_lines, read_pins
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -511,3 +513,25 @@ class TestGeodesicCommand:
         assert code == 2
         assert out == ""
         assert "error: bad config:" in err and "'nt'" in err
+
+
+
+class TestGeodesicPins:
+    """The three geodesic configs against their pins (``pin_geodesic``): the
+    integer report lines and every check_ and status line exactly, the
+    solution grid within 1e-13 (block Thomas and GMRES go through BLAS,
+    whose kernels may round differently on other CPUs)."""
+
+    def test_pins_cover_every_geodesic_config(self):
+        assert sorted(read_pins()) == sorted(NAMES) == sorted(p.stem for p in CONFIGS.glob("geodesic_*.cfg"))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_pins(self, capsys, tmp_path, name):
+        lines, grid = read_pins()[name]
+        code, out, _ = run(capsys, "geodesic", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path))
+        assert code == 0
+        assert pinned_lines(out) == lines
+        assert {line.split("=", 1)[0] for line in lines} >= set(INTEGERS)
+        solution = read_grid(tmp_path / "solution.grid")
+        assert solution.shape == grid.shape
+        assert np.max(np.abs(solution - grid)) <= 1e-13

@@ -1,4 +1,5 @@
-"""Tests for barriers, jets, the Perron update, and the sweep solver."""
+"""Tests for barriers, jets, the Perron update, the Newton solver and its
+validation."""
 
 import decimal
 import itertools
@@ -335,6 +336,15 @@ class TestPointJet:
             assert perron_update(pb, U, it, ix, bars.lower, bars.upper) == perron_update(
                 pb, U, 2, (3, -1), bars.lower, bars.upper
             )
+
+    @pytest.mark.parametrize("ix", [(5,), (9,)], ids=["inside-short", "beyond-short"])
+    def test_lower_of_wrong_shape_raises(self, ix):
+        # a (9, 8) lower for a (9, 16) problem: read at ix = 5 it would give
+        # another point's value, and at ix >= 8 an IndexError
+        pb = small_problem()
+        U = build_barriers(pb).lower
+        with pytest.raises(PreconditionError, match="space-time grid must have shape"):
+            perron_update(pb, U, 2, ix, U[:, :8])
 
     def test_bad_index_raises_reduced(self):
         pb = small_problem()
@@ -995,19 +1005,41 @@ class TestSolve:
             dict(max_iters=-1),
             dict(max_iters=1.5),
             dict(max_iters=math.inf),
+            dict(max_iters=True),
+            dict(nt=9.5),
+            dict(nt=9.0),
+            dict(nt="9"),
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_refuses_unusable_bounds(self, kw):
         # a bisection cannot narrow two adjacent floats below a zero
-        # bisect_tol, and the Newton step count never reaches a negative or
-        # non-integral max_iters: the problem is refused before any of it runs
+        # bisect_tol, the Newton step count never reaches a negative or
+        # non-integral max_iters, a bool is not a step count, and np.linspace
+        # takes no float or string nt: the problem is refused before any of
+        # it runs
         pb = small_problem(nx=8, nt=5)
         U = build_barriers(pb).lower
         with mock.patch.object(geodesic, "_ray_boundary", side_effect=AssertionError) as ray:
             with pytest.raises(PreconditionError, match=next(iter(kw))):
                 perron_update(replace(pb, **kw), U, 2, (3,))
         assert ray.call_count == 0
+
+    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    def test_validates_from_one_jet_stack(self, make):
+        # one interior_jets call serves the residual gate and the slice
+        # ranges, and its spatial blocks are the solution's only spatial
+        # Hessian build; the angle_field path (angle_field -> lambda_endo)
+        # is never reached
+        pb = make(check_two_init=True)
+        with mock.patch.object(geodesic, "interior_jets", wraps=geodesic.interior_jets) as jets, \
+                mock.patch.object(geodesic, "_hessian", wraps=geodesic._hessian) as hessian, \
+                mock.patch("dhymgeo.geometry.angle_field", side_effect=AssertionError), \
+                mock.patch("dhymgeo.geometry.lambda_endo", side_effect=AssertionError):
+            U, rep = solve(pb)
+        assert jets.call_count == hessian.call_count == 1
+        assert not hasattr(geodesic, "angle_field")
+        assert (rep.slice_ranges, rep.slice_ok) == validate_slices(pb, U)
 
     def test_full_grid_matches_reduced_on_y_invariant_data(self):
         # GMRES on the full grid, block Thomas on the reduced one
@@ -1070,8 +1102,8 @@ def shift_problem(grid=(64,), nt=33):
     )
 
 
-class TestRelaxation:
-    """Newton on full grids, where relaxed sweeps ran before, against the plain
+class TestFullGridNewton:
+    """Newton with GMRES steps on full grids against the fixed point of plain
     Perron sweeps."""
 
     @pytest.mark.parametrize(
@@ -1281,7 +1313,7 @@ class TestNewton:
         [small_problem] + [lambda k=k: generic_problems(3)[k] for k in range(3)] + [shift_problem],
         ids=["sample", "generic0", "generic1", "generic2", "shift"],
     )
-    def test_matches_relaxed_sweeps(self, make):
+    def test_matches_plain_sweep_fixed_point(self, make):
         # the reference is the fixed point of plain sweeps
         pb = make()
         U0 = lower_start(pb)
