@@ -26,8 +26,9 @@ Layout::
 Potential values starting with ``@`` are grid files (header line with the
 axis sizes, then little-endian float64), resolved relative to the config
 file.  A key these sections do not define (a misspelling, say), a
-repeated key, and a boolean other than 1/yes/true/on or 0/no/false/off
-are refused with PreconditionError (exit 2).
+repeated key, a boolean other than 1/yes/true/on or 0/no/false/off, and
+a field that is not finite at every grid point are refused with
+PreconditionError (exit 2).
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def _section(cp, name, keys):
     return sec
 
 
-def _field(geom, value, base_dir):
+def _field(geom, key, value, base_dir):
+    """The field of config key ``key`` on the geometry grid, from an
+    expression or an @ grid file, refused unless every value is finite."""
     value = value.strip()
     if value.startswith("@"):
         arr = read_grid(Path(base_dir) / value[1:])
@@ -72,8 +75,11 @@ def _field(geom, value, base_dir):
             raise PreconditionError(
                 f"grid file shape {arr.shape} does not match geometry grid {geom.grid}"
             )
-        return arr
-    return eval_field_expr(value, geom)
+    else:
+        arr = eval_field_expr(value, geom)
+    if not abs(arr).max() < float("inf"):  # a NaN fails the comparison too
+        raise PreconditionError(f"{key} is not finite on the whole grid: {value!r}")
+    return arr
 
 
 def load_geometry(path):
@@ -95,14 +101,14 @@ def _geometry(cp, path):
     geom = TorusGeometry(n=n, grid=grid, alpha0=alpha0, reduced=reduced)
     psi = sec.get("psi_alpha", "").strip()
     if psi:
-        geom.psi_alpha = _field(geom, psi, Path(path).parent)
+        geom.psi_alpha = _field(geom, "psi_alpha", psi, Path(path).parent)
     return geom
 
 
 def load_dhym_potential(path, geom):
     phi = _section(_read(path), "dhym", ("phi",)).get("phi", "").strip()
     if phi:
-        return _field(geom, phi, Path(path).parent)
+        return _field(geom, "phi", phi, Path(path).parent)
     return None
 
 
@@ -116,8 +122,8 @@ def load_problem(path):
     for key in ("phi1", "phi2"):
         if not sec.get(key, "").strip():
             raise PreconditionError(f"[problem] must define {key}")
-    phi1 = _field(geom, sec["phi1"], base)
-    phi2 = _field(geom, sec["phi2"], base)
+    phi1 = _field(geom, "phi1", sec["phi1"], base)
+    phi2 = _field(geom, "phi2", sec["phi2"], base)
     branch = select_branch(geom, require_regime=True)
 
     sol = _section(cp, "solver", ("nt", "sweep_tol", "max_iters", "two_init", "residual_tol"))

@@ -97,9 +97,10 @@ A Newton solve stops on ``projected`` when an unshifted step, which
 estimates the distance to the fixed point, moves the grid by less than
 ``sweep_tol``; on ``plateau`` when sup|F| falls to the rounding floor
 8 eps max(1, sup|U|) (the report's ``floor``) first; or on ``max_iters``
-steps.  Every solve reports the largest move of one plain sweep from its
-result (the Perron check).  A singular block or preconditioner pivot, a
-GMRES breakdown or a non-finite step raises ValidationError.
+steps.  Both starts of a solve run on one workspace (the kernel and, on a
+full grid, GMRES); the Perron check is one plain sweep from the reported
+grid.  A singular block or preconditioner pivot, a GMRES breakdown or a
+non-finite step raises ValidationError.
 """
 
 from __future__ import annotations
@@ -433,8 +434,6 @@ class _SweepN1:
 
     def __init__(self, problem):
         geom = problem.geom
-        if geom.n != 1:
-            raise ValueError("the vectorized Perron map requires n = 1")
         cosc = math.cos(problem.branch.c)
         sinc = math.sin(problem.branch.c)
         ht = problem.ht
@@ -592,12 +591,6 @@ class _SweepN1:
         np.multiply(v, 1.0 + shift, out=T)
         return np.subtract(T, out, out=out)
 
-    def max_change(self, new, old):
-        """Largest |new - old| over the interior."""
-        np.subtract(new, old, out=self.spare)
-        np.abs(self.spare, out=self.spare)
-        return float(np.max(self.spare))
-
 
 @dataclass
 class SolverReport:
@@ -710,7 +703,6 @@ class _Run:
     final_max_update: float = 0.0
     floor: float = 0.0
     stop_reason: str = "max_iters"
-    perron_check: float = 0.0
     steps: list = field(default_factory=list)
 
 
@@ -824,8 +816,9 @@ class _Krylov:
     no preconditioned vectors stored.
     """
 
-    def __init__(self, machine, shape):
+    def __init__(self, machine):
         self.machine = machine
+        shape = machine.spare.shape
         # the preconditioned vector (also the Gram-Schmidt scratch), taken
         # before the mapping below: after it, a 25 x 32 x 32 solve's process
         # peaked about 0.15 MB higher
@@ -957,16 +950,16 @@ class _Krylov:
         return x, iterations, beta <= target
 
 
-def _newton_solve(problem, U0, barriers):
-    """Newton on F(U) = T(U) - U; returns a _Run.
-
-    Each step solves ((1 + s) I - J) delta = T(U) - U: by ``_block_thomas``
-    on a reduced grid and by preconditioned GMRES (``_Krylov``) on a full
-    one.  The shift is s = (sup|F| / max(1, sup|U|))^2 at the step's grid,
-    with no state kept between steps, and 0 once it falls below
-    _SHIFT_OFF.  U + delta is then clipped in place between the envelopes
-    of ``barriers``, the ones ``solve`` built.  The stop reason is
-    ``projected`` (an unshifted step moved the grid by less than
+def _newton_solve(problem, U0, barriers, machine, krylov):
+    """Newton on F(U) = T(U) - U from U0 on the workspace ``solve`` builds
+    once for both starts, the kernel ``machine`` and ``krylov``; returns a
+    _Run.  Each step solves ((1 + s) I - J) delta = T(U) - U: by
+    ``_block_thomas`` on a reduced grid (``krylov`` is None) and by
+    ``krylov``'s preconditioned GMRES on a full one.  The shift is
+    s = (sup|F| / max(1, sup|U|))^2 at the step's grid, with no state kept
+    between steps, and 0 once it falls below _SHIFT_OFF.  U + delta is
+    then clipped in place between the envelopes of ``barriers``.  The stop
+    reason is ``projected`` (an unshifted step moved the grid by less than
     ``sweep_tol``), ``plateau`` (sup|F| reached the rounding floor first,
     ``run.floor``) or ``max_iters``.
 
@@ -978,12 +971,9 @@ def _newton_solve(problem, U0, barriers):
     forcing and whether GMRES stopped at _KRYLOV_MAX short of that goal.
     """
     run = _Run(U0.copy())
-    U = run.U
-    mid = U[1:-1]
+    U, mid = run.U, run.U[1:-1]
     lower, upper = barriers.lower[1:-1], barriers.upper[1:-1]
-    machine = _SweepN1(problem)
     outside = machine.outside
-    krylov = None if problem.geom.reduced else _Krylov(machine, mid.shape)
     norm_prev = eta = None
     while True:
         F, wx, wd = machine.linearize(U[2:], mid, U[:-2])
@@ -1022,8 +1012,6 @@ def _newton_solve(problem, U0, barriers):
         if shift == 0.0 and run.final_max_update < problem.sweep_tol:
             run.stop_reason = "projected"
             break
-    # the Perron oracle: one plain sweep from the result
-    run.perron_check = machine.max_change(machine.updates(U[2:], mid, U[:-2]), mid)
     return run
 
 
@@ -1060,9 +1048,11 @@ def solve(problem, init="linear"):
     ``check_two_init`` a second run starts from the upper envelope (from the
     linear interpolation when ``init`` is "lower"), the report carries the
     sup-norm disagreement of the two results, and
-    ``details["two_init_newton_steps"]`` the second run's steps.  The result
-    is validated in one pass over one ``interior_jets`` stack: the residual
-    split lifts it, and the slice ranges are theta of its spatial blocks.
+    ``details["two_init_newton_steps"]`` the second run's steps; both runs
+    share one kernel and one GMRES solver.  ``perron_check`` is one plain
+    sweep's largest move from the result, which is validated in one pass
+    over one ``interior_jets`` stack: the residual split lifts it, and the
+    slice ranges are theta of its spatial blocks.
     """
     t0 = time.perf_counter()
     if problem.geom.n != 1:
@@ -1071,18 +1061,24 @@ def solve(problem, init="linear"):
             "are served by the pointwise perron_update API"
         )
     barriers = build_barriers(problem)
-    run = _newton_solve(problem, _start(problem, barriers, init), barriers)
-    U = run.U
+    machine = _SweepN1(problem)
+    krylov = None if problem.geom.reduced else _Krylov(machine)
+    run = _newton_solve(problem, _start(problem, barriers, init), barriers, machine, krylov)
+    U, mid = run.U, run.U[1:-1]
     details = {"newton_steps": run.steps}
 
     two_init = None
     if problem.check_two_init:
         # the upper envelope, where a lower start's first step often lands
         second = "linear" if isinstance(init, str) and init == "lower" else barriers.upper
-        other = _newton_solve(problem, _start(problem, barriers, second), barriers)
+        other = _newton_solve(problem, _start(problem, barriers, second), barriers, machine, krylov)
         two_init = float(np.max(np.abs(U - other.U)))
         details["two_init_newton_steps"] = other.steps
 
+    # the Perron oracle; then the workspace goes, before validation's stack
+    # (held through it, a 25 x 32 x 32 solve's process peaked 3.8 MB higher)
+    perron_check = float(np.max(np.abs(machine.updates(U[2:], mid, U[:-2]) - mid)))
+    del machine, krylov
     H, _ = interior_jets(problem, U)
     ranges, slice_ok = _slice_ranges(problem, H)
     low_worst = float(np.min(U - barriers.lower))
@@ -1094,7 +1090,7 @@ def solve(problem, init="linear"):
         converged=run.stop_reason != "max_iters",
         stop_reason=run.stop_reason,
         krylov_iterations=sum(step.get("krylov_iterations", 0) for step in run.steps),
-        perron_check=run.perron_check,
+        perron_check=perron_check,
         **_residual_stats(problem, H),
         slice_ranges=ranges,
         slice_ok=slice_ok,

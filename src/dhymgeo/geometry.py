@@ -51,7 +51,9 @@ class TorusGeometry:
     ``alpha0`` is the constant Hermitian part of the background form and
     ``psi_alpha`` an optional potential contributing its complex Hessian
     to it.  ``reduced`` (n = 1 only) keeps a single x axis for
-    y-invariant data.
+    y-invariant data.  Each grid size must be an integer
+    (``_integer``: no floats, strings or bools), even and at least
+    MIN_GRID.
     """
 
     n: int
@@ -63,7 +65,9 @@ class TorusGeometry:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise PreconditionError("only n = 1 and n = 2 are supported")
-        self.grid = tuple(int(g) for g in np.atleast_1d(self.grid))
+        # an object array keeps each size's own type for ``_integer``
+        sizes = np.atleast_1d(np.asarray(self.grid, dtype=object))
+        self.grid = tuple(_integer(g, "grid size") for g in sizes)
         if self.reduced:
             if self.n != 1 or len(self.grid) != 1:
                 raise PreconditionError("reduced mode needs n = 1 and a single x axis")
@@ -423,15 +427,17 @@ def dhym_residual(geom, phi, c):
     return np.imag(np.exp(-1j * c) * dets)
 
 
-# Field expression grammar: +, -, *, sin, cos, numeric constants, pi, and
-# the coordinate names of the geometry.  Deliberately no division or
-# attribute access; configs stay dumb.
+# Field expression grammar: +, -, *, sin, cos, numeric constants (not the
+# bools True and False), pi, and the coordinate names of the geometry.
+# Deliberately no division or attribute access; configs stay dumb.
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos}
 
 
 def eval_field_expr(expr, geom):
-    """Evaluate a field expression string to a grid-shaped array."""
+    """Evaluate a field expression string to a grid-shaped array.  An
+    overflow or an undefined value (``1e400*0``) comes out non-finite and
+    without a numpy warning; ``config`` refuses such fields."""
     coords = geom.coordinates()
     env = dict(coords)
     env["pi"] = math.pi
@@ -440,7 +446,7 @@ def eval_field_expr(expr, geom):
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
+            if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
                 return float(node.value)
             raise PreconditionError(f"bad constant {node.value!r} in field expression")
         if isinstance(node, ast.Name):
@@ -476,7 +482,8 @@ def eval_field_expr(expr, geom):
         tree = ast.parse(expr.replace("−", "-"), mode="eval")
     except SyntaxError as exc:
         raise PreconditionError(f"cannot parse field expression {expr!r}") from exc
-    out = ev(tree)
+    with np.errstate(all="ignore"):
+        out = ev(tree)
     return np.broadcast_to(np.asarray(out, dtype=float), geom.grid).copy()
 
 

@@ -206,6 +206,29 @@ class TestDhymCommand:
         assert out == ""
         assert "unknown key 'alpha_0' in [geometry]" in err
 
+    @pytest.mark.parametrize("expr", ["1e400*0", "1e400*x1", "sin(1e400)", "-1e400"])
+    def test_non_finite_field_exit_2(self, capsys, tmp_path, expr):
+        # NaN used to reach the angle code, which printed a numpy warning and
+        # then "cannot convert float NaN to integer"
+        cfg = tmp_path / "nan.cfg"
+        text = (CONFIGS / "dhym_sample.cfg").read_text()
+        cfg.write_text(text.replace("psi_alpha = 0.05*cos(2*pi*x1)", f"psi_alpha = {expr}"))
+        code, out, err = run(capsys, "dhym", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: psi_alpha is not finite on the whole grid: {expr!r}\n"
+
+    @pytest.mark.parametrize("expr", ["True", "0.1*False", "0.1 + True*cos(2*pi*x1)"])
+    def test_bool_constant_exit_2(self, capsys, tmp_path, expr):
+        # the grammar used to read True as 1.0
+        cfg = tmp_path / "bool.cfg"
+        text = (CONFIGS / "dhym_sample.cfg").read_text()
+        cfg.write_text(text.replace("phi = 0.1*sin(2*pi*x1)", f"phi = {expr}"))
+        code, out, err = run(capsys, "dhym", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "bad constant" in err and "in field expression" in err
+
     def test_sample_potential_is_read(self, capsys, tmp_path):
         # the sample's [dhym] phi changes the report against no potential
         code, out, _ = run(capsys, "dhym", "--config", str(CONFIGS / "dhym_sample.cfg"))
@@ -297,6 +320,23 @@ class TestGeodesicCommand:
         code, out, _ = run(capsys, "geodesic", "--config", str(cfg))
         assert code == 0
         assert grep(out, "status") == "pass"
+
+    def test_non_finite_grid_file_exit_2(self, capsys, tmp_path):
+        from dhymgeo.geometry import write_grid
+
+        phi = 0.2 * np.cos(2 * np.pi * np.arange(16) / 16)
+        phi[5] = np.nan
+        write_grid(tmp_path / "phi2.grid", phi)
+        cfg = tmp_path / "gridded.cfg"
+        cfg.write_text(
+            "[geometry]\nn = 1\ngrid = 16\nreduced = true\nalpha0 = 3\n"
+            "[problem]\nphi1 = 0.1\nphi2 = @phi2.grid\n"
+            "[solver]\nnt = 9\n"
+        )
+        code, out, err = run(capsys, "geodesic", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "phi2 is not finite on the whole grid: '@phi2.grid'" in err
 
     def test_inadmissible_boundary_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

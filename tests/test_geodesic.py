@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dhymgeo import geodesic
+from dhymgeo import geodesic, geometry
 from dhymgeo.errors import PreconditionError, ValidationError
 from dhymgeo.geodesic import (
     GeodesicProblem,
@@ -40,6 +40,7 @@ from dhymgeo.subequations import (
     strict_margin,
 )
 
+from pin_geodesic import SET_A_PINS, read_pins, set_a_lines
 from test_angles import plain_bisection
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -844,11 +845,12 @@ class TestSweepKernel:
 
 
 def plain_sweep(machine, U):
-    """One Jacobi sweep u <- T(u) of U's interior, in place; returns the
-    largest move."""
+    """One Jacobi sweep u <- T(u) of U's interior, in place and allocating no
+    grid array; returns the largest move."""
     mid = U[1:-1]
     new = machine.updates(U[2:], mid, U[:-2])
-    move = machine.max_change(new, mid)
+    np.subtract(mid, new, out=mid)
+    move = float(np.max(np.abs(mid, out=mid)))
     np.copyto(mid, new)
     return move
 
@@ -1285,7 +1287,7 @@ class TestNewton:
         machine, F, wx, wd = linearized(pb, U)
         M = (1.0 + shift) * np.eye(F.size) - dense_jacobian(wx, wd)
         exact = np.linalg.solve(M, F.reshape(-1))
-        krylov = geodesic._Krylov(machine, F.shape)
+        krylov = geodesic._Krylov(machine)
         # the product and the preconditioner against their dense matrices
         v = np.random.default_rng(9).standard_normal(F.shape)
         out = np.empty_like(v)
@@ -1317,9 +1319,10 @@ class TestNewton:
         # the reference is the fixed point of plain sweeps
         pb = make()
         U0 = lower_start(pb)
-        newton = geodesic._newton_solve(pb, U0, build_barriers(pb))
+        machine = geodesic._SweepN1(pb)
+        newton = geodesic._newton_solve(pb, U0, build_barriers(pb), machine, None)
         assert newton.stop_reason in ("projected", "plateau")
-        assert newton.perron_check <= 1e-14
+        assert plain_sweep(machine, newton.U.copy()) <= 1e-14
         Up, _ = plain_fixed_point(pb, U0)
         assert np.max(np.abs(newton.U - Up)) <= 1e-10
         if make is shift_problem:
@@ -1365,7 +1368,7 @@ class TestNewton:
         pb = full_problem()
         U, _ = random_grid(pb, 1)
         machine, F, _, _ = linearized(pb, U)
-        krylov = geodesic._Krylov(machine, F.shape)
+        krylov = geodesic._Krylov(machine)
         machine.wx[...] = 0.0  # so the pivot of the first t row is 1 + shift
         with pytest.raises(ValidationError, match="zero or non-finite pivot"):
             krylov.factor(-1.0)
@@ -1449,9 +1452,9 @@ class TestNewton:
         starts = []
         newton_solve = geodesic._newton_solve
 
-        def recording(problem, U0, barriers):
+        def recording(problem, U0, *rest):
             starts.append(U0.copy())
-            return newton_solve(problem, U0, barriers)
+            return newton_solve(problem, U0, *rest)
 
         monkeypatch.setattr(geodesic, "_newton_solve", recording)
         pb = small_problem(check_two_init=True)
@@ -1468,6 +1471,29 @@ class TestNewton:
             solve(pb, init=init)
             assert len(starts) == 2
             assert np.array_equal(starts[0], first) and np.array_equal(starts[1], second)
+
+    @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
+    def test_one_workspace_per_two_init_solve(self, monkeypatch, make):
+        # both starts run on one kernel (one background Hessian; the other
+        # is the validation stack's) and one GMRES solver, and one plain
+        # sweep checks the reported grid
+        pb = make(check_two_init=True)
+        boxes = {name: [0] for name in ("kernel", "krylov", "hessian", "updates", "linearize")}
+        for cls, method, name in (
+            (geodesic._SweepN1, "__init__", "kernel"),
+            (geodesic._SweepN1, "updates", "updates"),
+            (geodesic._SweepN1, "linearize", "linearize"),
+            (geodesic._Krylov, "__init__", "krylov"),
+        ):
+            monkeypatch.setattr(cls, method, counted(getattr(cls, method), boxes[name]))
+        for module in (geometry, geodesic):
+            monkeypatch.setattr(module, "_hessian", counted(module._hessian, boxes["hessian"]))
+        _, rep = solve(pb)
+        assert rep.details["two_init_newton_steps"]
+        assert boxes["kernel"] == [1]
+        assert boxes["krylov"] == [0 if make is small_problem else 1]
+        assert boxes["hessian"] == [2]
+        assert boxes["updates"][0] - boxes["linearize"][0] == 1
 
     @pytest.mark.parametrize("init", ["linear", "lower"])
     @pytest.mark.parametrize("make", [small_problem, full_problem], ids=["reduced", "full"])
@@ -1546,11 +1572,12 @@ class TestNewton:
         for pb in generic_problems(40):
             bars = build_barriers(pb)
             U0 = lower_start(pb)
-            first = geodesic._newton_solve(replace(pb, max_iters=1), U0, bars).U
+            machine = geodesic._SweepN1(pb)
+            first = geodesic._newton_solve(replace(pb, max_iters=1), U0, bars, machine, None).U
             if np.array_equal(first, bars.upper):
                 landed += 1
-                lower = geodesic._newton_solve(pb, U0, bars)
-                upper = geodesic._newton_solve(pb, bars.upper, bars)
+                lower = geodesic._newton_solve(pb, U0, bars, machine, None)
+                upper = geodesic._newton_solve(pb, bars.upper, bars, machine, None)
                 assert np.array_equal(upper.U, lower.U)
                 assert len(upper.steps) == len(lower.steps) - 1
         assert landed >= 1
@@ -1570,6 +1597,52 @@ class TestNewton:
             assert rep.residual_regular_max <= 1e-5
             assert rep.perron_check <= 1e-14
             assert rep.two_init_discrepancy <= 10.0 * pb.sweep_tol
+
+
+class TestSetAPins:
+    """Set A against its pins (``pin_geodesic``): both starts' Newton step
+    counts exactly, the interior rows within 1e-13."""
+
+    def test_matches_pins(self):
+        pins = read_pins(SET_A_PINS)
+        problems = generic_problems(40)
+        assert sorted(pins) == sorted(f"set_a/{k}" for k in range(len(problems)))
+        for k, pb in enumerate(problems):
+            lines, grid = pins[f"set_a/{k}"]
+            counts, interior = set_a_lines(pb)
+            assert counts == lines, k
+            assert interior.shape == grid.shape
+            assert np.max(np.abs(interior - grid)) <= 1e-13, k
+
+
+# Maps of the boundary data that the solution must follow: a periodic shift
+# by 3 points, the reflection x -> -x, and a constant added to both potentials.
+RELATIONS = {
+    "roll": lambda a: np.roll(a, 3, axis=-1),
+    "reflect": lambda a: np.roll(a[..., ::-1], 1, axis=-1),
+    "offset": lambda a: a + 0.05,
+}
+
+
+class TestMetamorphic:
+    """The solution moves as the data do, to rounding (about 1e-15 measured).
+    These relations see seam, orientation and indexing defects that no
+    run-time check reads.  Step counts may differ: the roll and the
+    reflection change one on one of the 20 problems."""
+
+    @pytest.mark.parametrize("relation", list(RELATIONS))
+    def test_reduced(self, relation):
+        move = RELATIONS[relation]
+        for k, pb in enumerate(generic_problems(20)):
+            U, _ = solve(pb)
+            V, _ = solve(replace(pb, phi1=move(pb.phi1), phi2=move(pb.phi2)))
+            assert np.max(np.abs(V - move(U))) <= 1e-13, k
+
+    def test_full_transpose(self):
+        pb = full_problem(n=16, nt=9, check_two_init=True)
+        U, _ = solve(pb)
+        V, _ = solve(replace(pb, phi1=pb.phi1.T, phi2=pb.phi2.T))
+        assert np.max(np.abs(V - U.swapaxes(1, 2))) <= 1e-13
 
 
 class TestValidateSlices:

@@ -42,6 +42,20 @@ class TestGeometryValidation:
         with pytest.raises(PreconditionError):
             TorusGeometry(n=2, grid=(8, 8), alpha0=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "grid", [(16.7,), (16.0,), ("16",), (True,), np.array([16.0]), 16.7], ids=repr
+    )
+    def test_grid_sizes_must_be_integers(self, grid):
+        # int() would truncate 16.7 to a 16-point grid and parse "16"
+        with pytest.raises(PreconditionError, match="grid size must be an integer"):
+            TorusGeometry(n=1, grid=grid, alpha0=[[3.0]], reduced=True)
+
+    def test_grid_sizes_mix_integer_types(self):
+        geom = TorusGeometry(n=1, grid=(np.int64(16), 8), alpha0=[[3.0]])
+        assert geom.grid == (16, 8) and all(type(g) is int for g in geom.grid)
+        assert TorusGeometry(n=1, grid=np.array([16]), alpha0=[[3.0]], reduced=True).grid == (16,)
+        assert TorusGeometry(n=1, grid=16, alpha0=[[3.0]], reduced=True).grid == (16,)
+
     def test_reduced_only_n1(self):
         with pytest.raises(PreconditionError):
             TorusGeometry(n=2, grid=(8,), alpha0=np.eye(2), reduced=True)
