@@ -394,20 +394,25 @@ def _probe(angle, c, r, tol, lo, hi):
     return lo, hi
 
 
-def _band_edge(A, d, v, eps):
+def _band_edge(A, d, v):
     """Upper end of the singular band along A - v' diag(d) when v lies in the
     band, else None.  Along the ray only the corner moves, a11(v') = a11(v)
-    - (v' - v) d[0]; the band ends where it reaches -eps*(1 + ||A||)."""
+    - (v' - v) d[0]; the band ends where it reaches -EPS_SINGULAR*(1 + ||A||)."""
     E, scale = _entries(A - v * np.diag(d))
-    a11, _, _, thr, in_band = _band(E, scale, eps)
+    a11, _, _, thr, in_band = _band(E, scale, EPS_SINGULAR)
     return v + (a11 + thr) / d[0] if in_band else None
 
 
-def _ray_boundary(angle, A, d, c, lo, phi_lo, tol, spatial=False, eps=EPS_SINGULAR):
+# Width of the certified bracket of a ray boundary: ``strict_margin``'s, and
+# the default of ``GeodesicProblem.bisect_tol``.
+BISECT_TOL = 1e-10
+
+
+def _ray_boundary(angle, A, d, c, lo, phi_lo, tol, spatial=False):
     """Largest evaluated member of {v : angle(v) >= c} along A - v diag(d), d > 0.
 
     ``angle(v)`` evaluates the lifted angle (theta with ``spatial``) of
-    A - v diag(d) with band width ``eps``, which does not increase in v.  On
+    A - v diag(d) with band width EPS_SINGULAR, which does not increase in v.  On
     entry angle(lo) = phi_lo >= c.  The crossing of c is a root of the
     polynomial of ``_level_roots``: among the roots above lo, one is passed
     first for each level c + k pi (k >= 1) below phi_lo; in the convexity
@@ -429,7 +434,7 @@ def _ray_boundary(angle, A, d, c, lo, phi_lo, tol, spatial=False, eps=EPS_SINGUL
     hi = math.inf
     if len(roots) > skip:
         lo, hi = _probe(angle, c, roots[skip], tol, lo, hi)
-        edge = None if spatial or hi - lo <= tol else _band_edge(A, d, lo, eps)
+        edge = None if spatial or hi - lo <= tol else _band_edge(A, d, lo)
         if edge is not None:
             lo, hi = _probe(angle, c, edge, tol, lo, hi)
     base, step = lo, 1.0

@@ -76,7 +76,10 @@ def _field(geom, key, value, base_dir):
                 f"grid file shape {arr.shape} does not match geometry grid {geom.grid}"
             )
     else:
-        arr = eval_field_expr(value, geom)
+        try:
+            arr = eval_field_expr(value, geom)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{key}: {exc}") from None
     if not abs(arr).max() < float("inf"):  # a NaN fails the comparison too
         raise PreconditionError(f"{key} is not finite on the whole grid: {value!r}")
     return arr

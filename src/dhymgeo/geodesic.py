@@ -112,7 +112,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch, theta_batch
+from .angles import BISECT_TOL, _ray_boundary, phi_lifted_usc, phi_lifted_usc_batch, theta_batch
 from .errors import PreconditionError, ValidationError
 from .geometry import (
     _Point,
@@ -176,7 +176,7 @@ class GeodesicProblem:
     branch: Branch
     nt: int = 33
     sweep_tol: float = 1e-8
-    bisect_tol: float = 1e-10
+    bisect_tol: float = BISECT_TOL
     max_iters: int = 100000
     mode: str = JACOBI
     check_two_init: bool = True
@@ -605,7 +605,10 @@ class SolverReport:
     measures that); on ``max_iters`` it is the last step
     of an unconverged run.  ``floor`` is the rounding level
     8 eps max(1, sup|U|) that the last plateau test compared sup|T(U) - U|
-    against.
+    against.  ``sandwich_low_worst`` and ``sandwich_high_worst`` are the
+    minima of U - lower and upper - U over the interior t rows: on the
+    boundary rows U equals both barriers, and the minima over the whole
+    grid read 0 on every solve.
     """
 
     iterations: int
@@ -726,23 +729,15 @@ def _block_thomas(shift, wx, wd, F):
     costs one inverse.
     """
     m, nx = F.shape
-    # S, Jup (then P in place) and Jdn; on a flat view of a block the
-    # diagonal has stride nx + 1, (x, x+1) starts at 1 and (x, x-1) at nx,
-    # and the periodic ends are the entries nx (nx - 1) and nx - 1
+    # S, Jup (then P in place) and Jdn, each written at (x, x) and then at
+    # the periodic neighbours (x, x+1) and (x, x-1), all three at once
     blocks = np.zeros((3, m, nx, nx))
     S, up, down = blocks
-    half = 0.5 - wx
-    for block, diagonal, plus, minus in (
-        (S, 1.0 + shift, -wx, -wx),
-        (up, half, wd, -wd),
-        (down, half, -wd, wd),
-    ):
-        flat = block.reshape(m, nx * nx)
-        flat[:, :: nx + 1] = diagonal
-        flat[:, 1 :: nx + 1] += plus[:, :-1]
-        flat[:, nx * (nx - 1)] += plus[:, -1]
-        flat[:, nx :: nx + 1] += minus[:, 1:]
-        flat[:, nx - 1] += minus[:, 0]
+    x = np.arange(nx)
+    S[:, x, x] = 1.0 + shift
+    blocks[1:, :, x, x] = 0.5 - wx
+    blocks[:, :, x, (x + 1) % nx] += (-wx, wd, -wd)
+    blocks[:, :, x, (x - 1) % nx] += (-wx, -wd, wd)
     z = F.copy()
     for k in range(m):
         if k:
@@ -953,9 +948,10 @@ class _Krylov:
 def _newton_solve(problem, U0, barriers, machine, krylov):
     """Newton on F(U) = T(U) - U from U0 on the workspace ``solve`` builds
     once for both starts, the kernel ``machine`` and ``krylov``; returns a
-    _Run.  Each step solves ((1 + s) I - J) delta = T(U) - U: by
-    ``_block_thomas`` on a reduced grid (``krylov`` is None) and by
-    ``krylov``'s preconditioned GMRES on a full one.  The shift is
+    _Run whose grid is U0, updated in place.  Each step solves
+    ((1 + s) I - J) delta = T(U) - U: by ``_block_thomas`` on a reduced
+    grid (``krylov`` is None) and by ``krylov``'s preconditioned GMRES on a
+    full one.  The shift is
     s = (sup|F| / max(1, sup|U|))^2 at the step's grid, with no state kept
     between steps, and 0 once it falls below _SHIFT_OFF.  U + delta is
     then clipped in place between the envelopes of ``barriers``.  The stop
@@ -970,7 +966,7 @@ def _newton_solve(problem, U0, barriers, machine, krylov):
     projection moved, and, on a full grid, its GMRES iterations, its
     forcing and whether GMRES stopped at _KRYLOV_MAX short of that goal.
     """
-    run = _Run(U0.copy())
+    run = _Run(U0)
     U, mid = run.U, run.U[1:-1]
     lower, upper = barriers.lower[1:-1], barriers.upper[1:-1]
     outside = machine.outside
@@ -1081,8 +1077,8 @@ def solve(problem, init="linear"):
     del machine, krylov
     H, _ = interior_jets(problem, U)
     ranges, slice_ok = _slice_ranges(problem, H)
-    low_worst = float(np.min(U - barriers.lower))
-    high_worst = float(np.min(barriers.upper - U))
+    low_worst = float(np.min(mid - barriers.lower[1:-1]))
+    high_worst = float(np.min(barriers.upper[1:-1] - mid))
     report = SolverReport(
         iterations=len(run.steps),
         final_max_update=run.final_max_update,

@@ -25,6 +25,8 @@ import math
 import numpy as np
 
 HERM_TOL = 1e-12
+# J-invariance defect, relative to the norm, that ``hermitian_of`` accepts
+J_INVARIANT_TOL = 1e-10
 SPATIAL_DIM_CAP = 8
 SPACETIME_DIM_CAP = SPATIAL_DIM_CAP + 1
 
@@ -57,16 +59,16 @@ def _finite_norm(M, name):
     return norm
 
 
-def check_hermitian(H, tol=HERM_TOL, name="H", cap=SPACETIME_DIM_CAP):
-    """Validate finiteness and self-adjointness to ``tol * max(1, ||H||_F)``;
+def check_hermitian(H, name="H"):
+    """Validate finiteness and self-adjointness to ``HERM_TOL * max(1, ||H||_F)``;
     return H as complex."""
-    H = _as_square(H, name, cap).astype(complex)
+    H = _as_square(H, name).astype(complex)
     adjoint = H.conj().T
     scale = max(1.0, _finite_norm(H, name))
     defect = _norm(H - adjoint)
-    if defect > tol * scale:
+    if defect > HERM_TOL * scale:
         raise ValueError(
-            f"{name} is not self-adjoint: defect {defect:.3e} exceeds {tol * scale:.3e}"
+            f"{name} is not self-adjoint: defect {defect:.3e} exceeds {HERM_TOL * scale:.3e}"
         )
     return 0.5 * (H + adjoint)
 
@@ -94,30 +96,31 @@ def jmatrix(n):
     return J
 
 
-def iota(H, tol=HERM_TOL):
+def iota(H):
     """Embed Hermitian H = A1 + i*A2 as [[A1, A2], [-A2, A1]]."""
-    H = check_hermitian(H, tol)
+    H = check_hermitian(H)
     A1, A2 = H.real, H.imag
     return np.block([[A1, A2], [-A2, A1]])
 
 
-def jproject(N, tol=HERM_TOL):
+def jproject(N):
     """Project a symmetric 2n x 2n matrix onto its J-invariant part, (N + J^T N J)/2."""
-    N = check_symmetric(N, tol)
+    N = check_symmetric(N)
     J = jmatrix(N.shape[0] // 2)
     return 0.5 * (N + J.T @ N @ J)
 
 
-def hermitian_of(N, tol=1e-10):
+def hermitian_of(N):
     """Invert ``iota`` on its image: the Hermitian A1 + i*A2 with iota = given N.
 
-    Rejects input whose J-invariance defect exceeds ``tol`` relative to the norm.
+    Rejects input whose J-invariance defect exceeds ``J_INVARIANT_TOL``
+    relative to the norm.
     """
-    N = check_symmetric(N, max(tol, HERM_TOL))
+    N = check_symmetric(N, J_INVARIANT_TOL)
     n = N.shape[0] // 2
     J = jmatrix(n)
     scale = max(1.0, float(np.linalg.norm(N)))
-    if float(np.linalg.norm(J.T @ N @ J - N)) > tol * scale:
+    if float(np.linalg.norm(J.T @ N @ J - N)) > J_INVARIANT_TOL * scale:
         raise ValueError("input is not J-invariant within tolerance")
     A1 = 0.5 * (N[:n, :n] + N[n:, n:])
     A2 = 0.5 * (N[:n, n:] - N[n:, :n])
@@ -125,15 +128,15 @@ def hermitian_of(N, tol=1e-10):
     return 0.5 * (H + H.conj().T)
 
 
-def eig_hermitian(H, tol=HERM_TOL):
+def eig_hermitian(H):
     """Real eigenvalues of a Hermitian matrix, ascending."""
-    H = check_hermitian(H, tol)
+    H = check_hermitian(H)
     return np.linalg.eigvalsh(H)
 
 
-def eig_complex(B, cap=2 * SPACETIME_DIM_CAP):
+def eig_complex(B):
     """Eigenvalues of a general small dense complex matrix (unordered)."""
-    B = _as_square(B, "B", cap).astype(complex)
+    B = _as_square(B, "B", 2 * SPACETIME_DIM_CAP).astype(complex)
     return np.linalg.eigvals(B)
 
 
@@ -175,36 +178,19 @@ def bordered_det(B_plus, a11, a1, eta):
 
 # Matrix literal text format: one row per line, complex entries written as
 # "a+bi" with whitespace-separated columns.  Bare reals and bare imaginary
-# parts ("2", "-1.5i") are accepted; the formatter emits whatever is shortest
-# and round-trips exactly through repr precision.
-
-
-def _float_of(body, default):
-    if body in ("", "+"):
-        return default
-    if body == "-":
-        return -default
-    return float(body)
+# parts ("2", "-1.5i", "i") are accepted; the formatter emits whatever is
+# shortest and round-trips exactly through repr precision.
 
 
 def parse_complex_entry(text):
-    """Parse one "a+bi" style entry to a Python complex."""
+    """Parse one "a+bi" style entry to a Python complex: Python's
+    ``complex()`` of the entry with its trailing i read as j, a U+2212
+    minus as "-"; an entry without a trailing i is a real number."""
     s = text.strip().replace("−", "-")
-    if not s:
-        raise ValueError("empty matrix entry")
     try:
-        if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        # split before the sign of the imaginary part, skipping exponent signs
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split <= 0:
-            return complex(0.0, _float_of(body, 1.0))
-        return complex(float(body[:split]), _float_of(body[split:], 1.0))
+        if s.endswith("i"):
+            return complex(s[:-1] + "j")
+        return complex(float(s), 0.0)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex entry {text!r}") from exc
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .angles import (
+    BISECT_TOL,
     EPS_SINGULAR,
     _ray_boundary,
     phi_lifted_lsc_batch,
@@ -136,21 +137,21 @@ def _twist(spec, X):
     return X
 
 
-def _angle(spec, A, eps):
+def _angle(spec, A):
     """The angle of an already validated A under spec's twist."""
     X = _twist(spec, A)
     if spec.space == SPATIAL:
         return theta(X)
-    return phi_lifted_usc(X, eps).value
+    return phi_lifted_usc(X).value
 
 
-def member_angle(spec, A, eps=EPS_SINGULAR):
+def member_angle(spec, A):
     """The angle value compared against spec.threshold by ``member``."""
-    return _angle(spec, check_hermitian(A, name="A"), eps)
+    return _angle(spec, check_hermitian(A, name="A"))
 
 
-def member(spec, A, eps=EPS_SINGULAR):
-    return member_angle(spec, A, eps) >= spec.threshold
+def member(spec, A):
+    return member_angle(spec, A) >= spec.threshold
 
 
 def dual_of(spec):
@@ -158,27 +159,24 @@ def dual_of(spec):
     return replace(spec, dual=not spec.dual)
 
 
-def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
+def strict_margin(spec, A):
     """Certified lower bound on dist(A, complement), or None for non-members.
 
     Evaluates membership once at t = 0, then takes the boundary along
     A - t*Id from the polynomial root of ``angles._ray_boundary`` with two
     certifying evaluations (bisection only where they do not bracket it).
     The returned t has member(A - t*Id) verified, and member(A - t'*Id)
-    fails for some t' at most ``bisect_tol`` above it; positivity of the
+    fails for some t' at most ``BISECT_TOL`` above it; positivity of the
     set under psd additions turns that into a Frobenius-ball certificate
     of the same radius.  Raises ValidationError if the ray never leaves
-    the set.  ``bisect_tol`` must be finite and positive: no bisection can
-    narrow a bracket of two adjacent floats to zero.
+    the set.
     """
-    if not 0.0 < bisect_tol < math.inf:
-        raise ValueError(f"bisect_tol must be finite and positive, got {bisect_tol!r}")
     A = check_hermitian(A, name="A")
     threshold = spec.threshold
     eye = np.eye(A.shape[0])
 
     def angle(t):
-        return _angle(spec, A - t * eye, eps)
+        return _angle(spec, A - t * eye)
 
     phi_lo = angle(0.0)
     if phi_lo < threshold:
@@ -190,9 +188,8 @@ def strict_margin(spec, A, bisect_tol=1e-10, eps=EPS_SINGULAR):
         threshold,
         0.0,
         phi_lo,
-        bisect_tol,
+        BISECT_TOL,
         spatial=spec.space == SPATIAL,
-        eps=eps,
     )
 
 

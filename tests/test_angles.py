@@ -556,7 +556,7 @@ class TestUscConsistency:
             assert errs[2] < 1e-5
 
 
-def plain_bisection(angle, A, d, c, lo, phi_lo, tol, spatial=False, eps=None):
+def plain_bisection(angle, A, d, c, lo, phi_lo, tol, spatial=False):
     """Reference for _ray_boundary, same contract: the same doubling up from
     lo to a non-member, then bisection alone."""
     base, step = lo, 1.0

@@ -76,11 +76,11 @@ class TestAngles:
         assert float(grep(out, "theta")) == pytest.approx(np.pi / 2)
 
     def test_golden(self, capsys):
-        code, out, _ = run(
-            capsys, "angles", "--matrix", str(CONFIGS / "angles_sample.mat")
-        )
-        assert code == 0
-        assert out == (GOLDEN / "angles_sample.txt").read_text()
+        # angles_edge writes bare i, -i, signed exponents and a U+2212 minus
+        for name in ("angles_sample", "angles_edge"):
+            code, out, _ = run(capsys, "angles", "--matrix", str(CONFIGS / f"{name}.mat"))
+            assert code == 0
+            assert out == (GOLDEN / f"{name}.txt").read_text(), name
 
     def test_bad_matrix_exit_2(self, capsys, tmp_path):
         mat = tmp_path / "bad.mat"
@@ -228,6 +228,23 @@ class TestDhymCommand:
         assert code == 2
         assert out == ""
         assert "bad constant" in err and "in field expression" in err
+
+    @pytest.mark.parametrize(
+        "command, config, line, key",
+        [
+            ("dhym", "dhym_sample", "phi = True", "phi"),
+            ("geodesic", "geodesic_sample", "phi1 = z", "phi1"),
+            ("dhym", "dhym_sample", "psi_alpha = 1/x1", "psi_alpha"),
+        ],
+    )
+    def test_field_error_names_its_key(self, capsys, tmp_path, command, config, line, key):
+        cfg = tmp_path / "field.cfg"
+        lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+        cfg.write_text("\n".join(line if old.startswith(f"{key} =") else old for old in lines))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key}: ") and "field expression" in err
 
     def test_sample_potential_is_read(self, capsys, tmp_path):
         # the sample's [dhym] phi changes the report against no potential

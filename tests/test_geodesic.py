@@ -1320,7 +1320,7 @@ class TestNewton:
         pb = make()
         U0 = lower_start(pb)
         machine = geodesic._SweepN1(pb)
-        newton = geodesic._newton_solve(pb, U0, build_barriers(pb), machine, None)
+        newton = geodesic._newton_solve(pb, U0.copy(), build_barriers(pb), machine, None)
         assert newton.stop_reason in ("projected", "plateau")
         assert plain_sweep(machine, newton.U.copy()) <= 1e-14
         Up, _ = plain_fixed_point(pb, U0)
@@ -1564,6 +1564,19 @@ class TestNewton:
             assert second[-1]["clipped"] == 0
         assert steps <= 215
 
+    def test_sandwich_readings_are_interior_margins(self):
+        # the boundary rows sit on both barriers, so the readings are minima
+        # over the interior rows; set A's smallest are 0.0855 (low) and
+        # 0.0856 (high)
+        low = high = math.inf
+        for pb in generic_problems(40):
+            U, rep = solve(pb)
+            bars = build_barriers(pb)
+            assert rep.sandwich_low_worst == np.min(U[1:-1] - bars.lower[1:-1])
+            assert rep.sandwich_high_worst == np.min(bars.upper[1:-1] - U[1:-1])
+            low, high = min(low, rep.sandwich_low_worst), min(high, rep.sandwich_high_worst)
+        assert min(low, high) >= 0.08
+
     def test_upper_start_repeats_a_lower_start_that_lands_there(self):
         # set A: where the lower start's first step is projected onto the
         # whole upper envelope (30 of 40 problems), the rest of that run is
@@ -1573,11 +1586,12 @@ class TestNewton:
             bars = build_barriers(pb)
             U0 = lower_start(pb)
             machine = geodesic._SweepN1(pb)
-            first = geodesic._newton_solve(replace(pb, max_iters=1), U0, bars, machine, None).U
+            one_step = replace(pb, max_iters=1)
+            first = geodesic._newton_solve(one_step, U0.copy(), bars, machine, None).U
             if np.array_equal(first, bars.upper):
                 landed += 1
                 lower = geodesic._newton_solve(pb, U0, bars, machine, None)
-                upper = geodesic._newton_solve(pb, bars.upper, bars, machine, None)
+                upper = geodesic._newton_solve(pb, bars.upper.copy(), bars, machine, None)
                 assert np.array_equal(upper.U, lower.U)
                 assert len(upper.steps) == len(lower.steps) - 1
         assert landed >= 1

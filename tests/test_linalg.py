@@ -197,17 +197,44 @@ class TestBorderedDet:
             bordered_det(np.zeros((2, 2)), 0.0, [1.0, 0.0], 0.0)
 
 
+# Entries and the repr of their value, signed zeros and nan included.
+ENTRIES = [
+    ("2", "(2+0j)"),
+    ("-1.5i", "-1.5j"),
+    ("i", "1j"),
+    ("+i", "1j"),
+    ("-i", "-1j"),
+    ("1+i", "(1+1j)"),
+    ("2+i", "(2+1j)"),
+    ("2-i", "(2-1j)"),
+    ("3-4i", "(3-4j)"),
+    ("1.5e-3+2e+4i", "(0.0015+20000j)"),
+    ("1e-3-2e+4i", "(0.001-20000j)"),
+    ("\u22121.5i", "-1.5j"),
+    ("inf", "(inf+0j)"),
+    ("nan", "(nan+0j)"),
+    ("-0i", "-0j"),
+    ("0i", "0j"),
+    ("-0", "(-0+0j)"),
+    ("1-0i", "(1-0j)"),
+    ("-1e-300i", "-1e-300j"),
+    ("1E5+2E-3i", "(100000+0.002j)"),
+    ("+2.5", "(2.5+0j)"),
+    (".5i", "0.5j"),
+    ("5.i", "5j"),
+    ("1_0i", "10j"),
+    ("infi", "infj"),
+    ("-infi", "-infj"),
+]
+
+
 class TestMatrixLiteral:
     def test_entry_forms(self):
-        assert parse_complex_entry("2") == 2
-        assert parse_complex_entry("-1.5i") == -1.5j
-        assert parse_complex_entry("1+i") == 1 + 1j
-        assert parse_complex_entry("3-4i") == 3 - 4j
-        assert parse_complex_entry("1.5e-3+2e+4i") == 1.5e-3 + 2e4j
-        assert parse_complex_entry("-i") == -1j
+        for entry, value in ENTRIES:
+            assert repr(parse_complex_entry(entry)) == value, entry
 
     def test_entry_errors(self):
-        for bad in ("", "abc", "1+2", "i2"):
+        for bad in ("", "abc", "1+2", "i2", "(1+2i)", "1+2j"):
             with pytest.raises(ValueError):
                 parse_complex_entry(bad)
 

@@ -116,15 +116,6 @@ class TestStrictMargin:
 
 
 class TestStrictMarginValidation:
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_refuses_unusable_bisect_tol(self, tol):
-        # no bisection narrows a bracket of two adjacent floats to zero
-        spec = spacetime_spec(math.pi / 4, 1)
-        with mock.patch.object(subequations, "_ray_boundary", side_effect=AssertionError) as ray:
-            with pytest.raises(ValueError, match="bisect_tol must be finite and positive"):
-                strict_margin(spec, 2.0 * np.eye(2), bisect_tol=tol)
-        assert ray.call_count == 0
-
     @pytest.mark.parametrize(
         "spec",
         [
